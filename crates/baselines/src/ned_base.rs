@@ -90,7 +90,7 @@ impl NedBase {
     ) -> (Graph, Option<Var>, Vec<Vec<f32>>) {
         let g = Graph::with_mode(training, seed);
         let ps = &self.params;
-        let w = self.word_encoder.forward(&g, ps, &ex.tokens);
+        let (w, _) = self.word_encoder.forward_batch(&g, ps, &[&ex.tokens]);
 
         let mut loss: Option<Var> = None;
         let mut n_supervised = 0usize;

@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p bootleg-bench --bin table3_tacred`
 
 use bootleg_bench::{full_train_config, row, scale, Results, ResultsTable, Workbench};
-use bootleg_core::{BootlegConfig, ExMention, Example};
+use bootleg_core::{BootlegConfig, ExMention, Example, ForwardOptions};
 use bootleg_downstream::analysis::{
     qualitative_wins, signal_proportions, table12_gap, table13_ratio, PairedOutcome,
 };
@@ -73,9 +73,13 @@ fn main() -> std::io::Result<()> {
                 },
             ];
             let bex = Example::inference(ex.tokens.clone(), mentions);
-            let preds = bootleg.predict(&wb.kb, &bex);
+            let out = bootleg
+                .run(&wb.kb, std::slice::from_ref(&bex), ForwardOptions::inference())
+                .expect("no deadline")
+                .remove(0);
+            let pred = |mi: usize| bex.mentions[mi].candidates[out.predictions[mi]];
             PairedOutcome {
-                signals: signal_proportions(&wb.kb, ex, (preds[0], preds[1])),
+                signals: signal_proportions(&wb.kb, ex, (pred(0), pred(1))),
                 base_err: errors[0][i],
                 boot_err: errors[2][i],
             }

@@ -1,5 +1,6 @@
-//! Ragged micro-batched inference (PR 7): N examples, one graph, outputs
-//! bit-identical to the sequential pass.
+//! The forward engine: N examples, one graph, ragged row layout. Every
+//! forward pass — training steps, single-example inference, serving
+//! micro-batches — runs here.
 //!
 //! # Layout
 //!
@@ -11,8 +12,8 @@
 //! and the register-tiled kernels see tall matrices instead of skinny ones.
 //! The only cross-row ops — attention softmax/context and the KG adjacency
 //! products — run per example on contiguous row slices, so examples cannot
-//! attend to each other and each slice replays the sequential op sequence
-//! on bitwise-equal inputs.
+//! attend to each other and each example's inference outputs are
+//! bit-identical to running it alone.
 //!
 //! The per-candidate type/relation bags *are* padded (to the batch's widest
 //! bag) because additive-attention pooling dominates the embed phase. Pads
@@ -24,25 +25,32 @@
 //!
 //! # Deadlines
 //!
-//! Deadlines are per example and checked at the same phase boundaries as
-//! the sequential pass. An expired example is marked
-//! [`ForwardInterrupted`] and *evicted from the result*, not the batch:
-//! its rows keep flowing (they cannot be removed from a built graph), but
-//! the batch only aborts early when every example has expired.
+//! Deadlines are per example and checked at phase boundaries (after
+//! candgen, after embed, before each attention layer after the first, and
+//! after attention). An expired example is marked [`ForwardInterrupted`]
+//! and *evicted from the result*, not the batch: its rows keep flowing
+//! (they cannot be removed from a built graph), but the batch only aborts
+//! early when every example has expired.
 //!
-//! # Inference only
+//! # Training
 //!
-//! Training consumes dropout/masking RNG sequentially per graph, so a
-//! batched training pass cannot reproduce per-example RNG streams.
-//! [`BootlegModel::run`] routes `training` options through the sequential
-//! engine instead.
+//! With `opts.training` the graph runs in training mode: dropout draws from
+//! the graph's RNG (seeded by `opts.seed`) and the 2-D entity mask draws
+//! from a second stream seeded by `opts.seed ^ 0x9e37_79b9_7f4a_7c15`, one
+//! draw per candidate row in batch order. Both streams are consumed
+//! sequentially across the whole batch, so a training pass over N examples
+//! is deterministic for a given slice and seed but differs from N separate
+//! passes. `core::train` runs one example per pass.
 
 use crate::example::Example;
 use crate::forward::{Deadline, ForwardInterrupted, ForwardOptions, ForwardOutput};
 use crate::model::BootlegModel;
+use crate::RegScheme;
 use bootleg_kb::{EntityId, KnowledgeBase};
 use bootleg_nn::posenc;
 use bootleg_tensor::{arena, Graph, Tensor, Var};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Per-example candidate layout and KG adjacency, built during candgen.
 struct ExLayout {
@@ -63,47 +71,26 @@ struct ExLayout {
 }
 
 impl BootlegModel {
-    /// The unified forward entrypoint: runs the model on a slice of
-    /// examples, batched-first.
-    ///
-    /// - An empty slice returns `Ok(vec![])`.
-    /// - A 1-example slice (or any `training` options) runs the sequential
-    ///   engine and reproduces the historical per-example behavior exactly.
-    /// - Otherwise the examples run as one ragged micro-batch whose outputs
-    ///   are bit-identical to the sequential loop.
-    ///
-    /// The legacy entrypoints (`forward`, `infer`, `forward_with`,
-    /// `try_forward_with`, `infer_within`) remain as thin wrappers over
-    /// this method and the sequential engine.
+    /// The forward entrypoint: runs the model on a slice of examples as one
+    /// ragged pass under a shared `opts.deadline`. An empty slice returns
+    /// `Ok(vec![])`; if the deadline expires, the first interrupted
+    /// example's phase is returned. Outputs of one call share one tape.
     pub fn run(
         &self,
         kb: &KnowledgeBase,
         examples: &[Example],
         opts: ForwardOptions,
     ) -> Result<Vec<ForwardOutput>, ForwardInterrupted> {
-        if examples.is_empty() {
-            return Ok(Vec::new());
-        }
-        if opts.training || examples.len() == 1 {
-            return examples.iter().map(|ex| self.try_forward_with(kb, ex, opts)).collect();
-        }
         let refs: Vec<&Example> = examples.iter().collect();
         let deadlines = vec![opts.deadline; examples.len()];
         self.try_forward_batch(kb, &refs, &opts, &deadlines).into_iter().collect()
     }
 
-    /// Batched inference without a deadline: panics on interruption, which
-    /// cannot happen with [`Deadline::none`].
-    pub fn infer_batch(&self, kb: &KnowledgeBase, examples: &[Example]) -> Vec<ForwardOutput> {
-        self.run(kb, examples, ForwardOptions::inference())
-            .expect("unlimited deadline cannot interrupt")
-    }
-
-    /// Runs N examples as one ragged micro-batch with *per-example*
-    /// deadlines (the serving layer's eviction rule needs them to differ).
-    /// Returns one result per example, in order; an expired example fails
-    /// alone with the phase it reached while the rest of the batch
-    /// completes. Inference-only — panics on `opts.training`.
+    /// Runs N examples as one ragged pass with *per-example* deadlines
+    /// (the serving layer's eviction rule needs them to differ;
+    /// `opts.deadline` is ignored). Returns one result per example, in
+    /// order; an expired example fails alone with the phase it reached
+    /// while the rest of the batch completes.
     pub fn try_forward_batch(
         &self,
         kb: &KnowledgeBase,
@@ -112,23 +99,16 @@ impl BootlegModel {
         deadlines: &[Deadline],
     ) -> Vec<Result<ForwardOutput, ForwardInterrupted>> {
         assert_eq!(examples.len(), deadlines.len(), "one deadline per example");
-        assert!(!opts.training, "batched forward is inference-only; use run()");
         if examples.is_empty() {
             return Vec::new();
-        }
-        if examples.len() == 1 {
-            return vec![self.try_forward_with(
-                kb,
-                examples[0],
-                opts.with_deadline(deadlines[0]),
-            )];
         }
         for ex in examples {
             assert!(!ex.mentions.is_empty(), "forward needs at least one mention");
         }
-        let _fwd = bootleg_obs::span!("forward_batch");
+        let _fwd = bootleg_obs::span!("forward");
         bootleg_obs::counter!("forward.batch_examples").add(examples.len() as u64);
-        let g = Graph::with_mode(false, opts.seed);
+        let training = opts.training;
+        let g = Graph::with_mode(training, opts.seed);
         let ps = &self.params;
         let cfg = &self.config;
 
@@ -258,15 +238,31 @@ impl BootlegModel {
         // Static per-entity payloads (entity row, pooled type/rel bags, title
         // mean) may come straight from the entity-repr cache; the
         // mention-dependent parts (coarse type, position encoding) stay live.
-        // Gradient-bearing passes skip the cache: leaves carry no params.
-        let mut cached =
-            if opts.build_loss { None } else { self.gather_cached_parts(&global_cands) };
+        // Training and loss-building passes skip the cache: leaves carry no
+        // params, and the entity mask applies to the live gather.
+        let mut cached = if training || opts.build_loss {
+            None
+        } else {
+            self.gather_cached_parts(&global_cands)
+        };
         if cfg.use_entity() {
-            // No training mask at inference: the gather alone.
-            parts.push(match cached.as_mut().and_then(|c| c.entity.take()) {
-                Some(t) => g.leaf(t),
-                None => g.gather_rows(ps, self.entity_emb, &global_cands),
-            });
+            if let Some(t) = cached.as_mut().and_then(|c| c.entity.take()) {
+                parts.push(g.leaf(t));
+            } else {
+                let u = g.gather_rows(ps, self.entity_emb, &global_cands);
+                parts.push(if training && !matches!(cfg.regularization, RegScheme::None) {
+                    // 2-D regularization: zero the whole embedding with p(e).
+                    let mut mask_rng = StdRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
+                    let mut mask = arena::take(s_total * cfg.entity_dim);
+                    for (mrow, &e) in mask.chunks_exact_mut(cfg.entity_dim).zip(&global_cands) {
+                        let keep = mask_rng.gen::<f32>() >= self.reg_p[e as usize];
+                        mrow.fill(if keep { 1.0 } else { 0.0 });
+                    }
+                    u.mul(&g.leaf(Tensor::new([s_total, cfg.entity_dim], mask)))
+                } else {
+                    u
+                });
+            }
         }
 
         // Type prediction (Appendix A), batched over all mentions: the
@@ -288,7 +284,7 @@ impl BootlegModel {
             let coarse = g.dense_param(ps, tp.coarse_emb); // (6, coarse_dim)
             mention_type_vec = Some(probs.matmul(&coarse)); // (M, coarse_dim)
             // Per-example supervision, kept per example so each output's
-            // loss matches its sequential counterpart bit-for-bit.
+            // loss matches running that example alone bit-for-bit.
             if opts.build_loss {
                 for l in &included {
                     let ex = examples[l.ei];
@@ -565,8 +561,8 @@ impl BootlegModel {
     /// Pools every candidate's embedding bag (types or relations) in one
     /// padded ragged pass — bit-identical per row to a per-candidate
     /// `AddAttn::forward` loop for any pad width (see
-    /// [`bootleg_nn::AddAttn::pool_ragged`]). Shared by the sequential and
-    /// batched engines and by the entity-repr cache's build kernel.
+    /// [`bootleg_nn::AddAttn::pool_ragged`]). Shared by the forward engine and
+    /// the entity-repr cache's build kernel.
     pub(crate) fn pool_bags_batched(
         &self,
         g: &Graph,
@@ -594,8 +590,8 @@ impl BootlegModel {
     /// flat gather + ragged segment mean — bit-identical per row to a
     /// per-candidate `mean_rows` loop, since
     /// [`bootleg_tensor::Var::mean_rows_segments`] replays `mean_rows`'
-    /// accumulation order within each segment. Shared by the sequential and
-    /// batched engines and by the entity-repr cache's build kernel.
+    /// accumulation order within each segment. Shared by the forward engine and
+    /// the entity-repr cache's build kernel.
     pub(crate) fn pool_titles_batched(&self, g: &Graph, cand_entities: &[u32]) -> Var {
         let mut lens: Vec<usize> = Vec::with_capacity(cand_entities.len());
         let mut flat: Vec<u32> = Vec::new();

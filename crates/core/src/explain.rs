@@ -8,6 +8,7 @@
 //! paper's §5 analysis at the level of a single prediction.
 
 use crate::example::Example;
+use crate::forward::{ForwardOptions, ForwardOutput};
 use crate::model::BootlegModel;
 use bootleg_kb::KnowledgeBase;
 
@@ -48,7 +49,7 @@ pub struct Explanation {
 impl BootlegModel {
     /// Explains the model's prediction for mention `mention_idx` of `ex`.
     pub fn explain(&self, kb: &KnowledgeBase, ex: &Example, mention_idx: usize) -> Explanation {
-        let base = self.infer(kb, ex);
+        let base = infer(self, kb, ex);
         let prediction = base.predictions[mention_idx];
         let margin = margin_of(&base.scores[mention_idx], prediction);
 
@@ -68,7 +69,7 @@ impl BootlegModel {
         kb: &KnowledgeBase,
         ex: &Example,
         signal: Signal,
-    ) -> crate::forward::ForwardOutput {
+    ) -> ForwardOutput {
         // Build a shallow clone whose per-entity tables or parameters hide
         // the targeted signal; cheap relative to a training step.
         let mut m = self.clone_model();
@@ -105,8 +106,13 @@ impl BootlegModel {
                 }
             }
         }
-        m.infer(kb, ex)
+        infer(&m, kb, ex)
     }
+}
+
+/// Plain inference on one example.
+fn infer(m: &BootlegModel, kb: &KnowledgeBase, ex: &Example) -> ForwardOutput {
+    m.run(kb, std::slice::from_ref(ex), ForwardOptions::inference()).expect("no deadline").remove(0)
 }
 
 /// Margin of candidate `idx` over the best other candidate.

@@ -1,13 +1,8 @@
-//! The Bootleg forward pass (§3.2, Appendix A) plus prediction and
-//! contextual-embedding extraction.
+//! What a forward pass takes and returns: options, deadlines, outputs. The
+//! engine itself is [`crate::BootlegModel::run`] /
+//! [`crate::BootlegModel::try_forward_batch`] in [`crate::batch`].
 
-use crate::example::Example;
-use crate::model::BootlegModel;
-use bootleg_kb::{EntityId, KnowledgeBase};
-use bootleg_nn::posenc;
-use bootleg_tensor::{arena, Graph, Tensor, Var};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use bootleg_tensor::{Graph, Var};
 use std::time::{Duration, Instant};
 
 /// A per-request compute budget, checked at forward-pass phase boundaries.
@@ -82,10 +77,10 @@ impl std::error::Error for ForwardInterrupted {}
 
 /// What a forward pass should compute beyond scores and predictions.
 ///
-/// [`BootlegModel::forward`] historically always paid for the full training
-/// tape; inference-only callers (evaluation drivers, bench bins, serving)
-/// use [`ForwardOptions::inference`] / [`BootlegModel::infer`] to skip the
-/// loss node and the per-candidate representation matrices.
+/// Inference-only callers (evaluation drivers, bench bins, serving) use
+/// [`ForwardOptions::inference`] to skip the loss node and the
+/// per-candidate representation matrices; training uses
+/// [`ForwardOptions::training`].
 #[derive(Clone, Copy, Debug)]
 pub struct ForwardOptions {
     /// Enables dropout and 2-D entity-embedding masking.
@@ -99,8 +94,7 @@ pub struct ForwardOptions {
     pub candidate_reprs: bool,
     /// Compute budget, checked at phase boundaries. [`Deadline::none`] for
     /// library callers; the serving layer threads per-request deadlines
-    /// through here. Use [`BootlegModel::try_forward_with`] to observe
-    /// expiry as a value instead of a panic.
+    /// through here; expiry comes back as [`ForwardInterrupted`].
     pub deadline: Deadline,
 }
 
@@ -116,7 +110,8 @@ impl ForwardOptions {
         }
     }
 
-    /// The full training tape (what `forward(…, training, seed)` builds).
+    /// The full training tape: dropout and 2-D entity masking driven by
+    /// `seed`, the loss node, and candidate representations.
     pub fn training(seed: u64) -> Self {
         Self {
             training: true,
@@ -154,7 +149,8 @@ impl ForwardOptions {
 
 /// Result of a forward pass.
 pub struct ForwardOutput {
-    /// The autograd tape (call `graph.backward(&loss, …)` to train).
+    /// The autograd tape (call `graph.backward(&loss, …)` to train). Outputs
+    /// of one forward call share it.
     pub graph: Graph,
     /// Total loss (`L_dis + L_type`); only meaningful when mentions carry
     /// gold indexes.
@@ -173,433 +169,14 @@ pub struct ForwardOutput {
     pub candidate_reprs: Vec<Vec<Vec<f32>>>,
 }
 
-impl BootlegModel {
-    /// Legacy wrapper: one example with the full training tape. Equivalent
-    /// to [`BootlegModel::run`] with [`ForwardOptions::training`] on a
-    /// 1-example slice; `training` enables dropout and the 2-D
-    /// entity-embedding masking, `seed` drives both.
-    pub fn forward(
-        &self,
-        kb: &KnowledgeBase,
-        ex: &Example,
-        training: bool,
-        seed: u64,
-    ) -> ForwardOutput {
-        self.forward_with(kb, ex, ForwardOptions::training(seed).with_training(training))
-    }
-
-    /// Legacy wrapper: inference on one example — scores, predictions and
-    /// mention representations without the loss node or per-candidate
-    /// representation matrices. Equivalent to [`BootlegModel::run`] with
-    /// [`ForwardOptions::inference`] on a 1-example slice; batch-capable
-    /// callers should prefer `run`, which amortizes per-op dispatch across
-    /// examples.
-    pub fn infer(&self, kb: &KnowledgeBase, ex: &Example) -> ForwardOutput {
-        self.forward_with(kb, ex, ForwardOptions::inference())
-    }
-
-    /// Legacy wrapper: inference on one example under a compute budget —
-    /// [`BootlegModel::run`] with a deadline, stopping at the next phase
-    /// boundary once `deadline` expires and returning [`ForwardInterrupted`]
-    /// naming the phase that had just finished.
-    pub fn infer_within(
-        &self,
-        kb: &KnowledgeBase,
-        ex: &Example,
-        deadline: Deadline,
-    ) -> Result<ForwardOutput, ForwardInterrupted> {
-        self.run_one(kb, ex, ForwardOptions::inference().with_deadline(deadline))
-    }
-
-    /// Legacy wrapper: one example, computing exactly what `opts` asks for.
-    /// Panics if `opts.deadline` expires mid-pass — use
-    /// [`BootlegModel::run`] (or [`BootlegModel::try_forward_with`]) to
-    /// observe expiry as a value.
-    pub fn forward_with(
-        &self,
-        kb: &KnowledgeBase,
-        ex: &Example,
-        opts: ForwardOptions,
-    ) -> ForwardOutput {
-        self.run_one(kb, ex, opts)
-            .unwrap_or_else(|i| panic!("forward_with: {i} (use run/try_forward_with)"))
-    }
-
-    /// [`BootlegModel::run`] on a 1-example slice, unwrapped to a single
-    /// output.
-    fn run_one(
-        &self,
-        kb: &KnowledgeBase,
-        ex: &Example,
-        opts: ForwardOptions,
-    ) -> Result<ForwardOutput, ForwardInterrupted> {
-        let mut outs = self.run(kb, std::slice::from_ref(ex), opts)?;
-        Ok(outs.pop().expect("run returns one output per example"))
-    }
-
-    /// The sequential single-example engine behind [`BootlegModel::run`]:
-    /// checks `opts.deadline` at each phase boundary; on expiry the
-    /// partially-built tape is dropped (arena buffers recycle normally) and
-    /// the completed phase is reported. `run` dispatches 1-example slices
-    /// and all training passes here; multi-example inference slices take
-    /// the ragged batched engine instead.
-    pub fn try_forward_with(
-        &self,
-        kb: &KnowledgeBase,
-        ex: &Example,
-        opts: ForwardOptions,
-    ) -> Result<ForwardOutput, ForwardInterrupted> {
-        assert!(!ex.mentions.is_empty(), "forward needs at least one mention");
-        let _fwd = bootleg_obs::span!("forward");
-        let ForwardOptions { training, seed, .. } = opts;
-        let g = Graph::with_mode(training, seed);
-        let ps = &self.params;
-        let cfg = &self.config;
-        let mut mask_rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-
-        // ---- Candidate generation: flattening + KG adjacency ----
-        // Plain tensors and index maps, no graph nodes and no RNG, so this
-        // phase can run first without perturbing any numerics downstream.
-        let ph = bootleg_obs::trace::phase("candgen", "forward.candgen_ns");
-
-        // Flatten all candidates: cand_entities[s], mention_of[s].
-        let mut cand_entities: Vec<u32> = Vec::with_capacity(ex.total_candidates());
-        let mut mention_of: Vec<usize> = Vec::new();
-        let mut offsets: Vec<usize> = Vec::with_capacity(ex.mentions.len() + 1);
-        for (mi, m) in ex.mentions.iter().enumerate() {
-            offsets.push(cand_entities.len());
-            for &c in &m.candidates {
-                cand_entities.push(c.0);
-                mention_of.push(mi);
-            }
-        }
-        offsets.push(cand_entities.len());
-        let s_total = cand_entities.len();
-
-        // KG adjacency matrices over the flattened candidates: cross-mention
-        // Wikidata connectivity (+ optional co-occurrence / two-hop).
-        // Adjacency buffers are written sparsely onto a zeroed base, and the
-        // shapes repeat per sentence — prime arena candidates.
-        let mut kg_mats: Vec<Tensor> = Vec::new();
-        if cfg.use_kg() {
-            let mut k = arena::take_zeroed(s_total * s_total);
-            // Connectivity is symmetric, so probe each unordered pair once
-            // and write both cells.
-            for i in 0..s_total {
-                for j in i + 1..s_total {
-                    if mention_of[i] != mention_of[j]
-                        && kb
-                            .connected(EntityId(cand_entities[i]), EntityId(cand_entities[j]))
-                            .is_some()
-                    {
-                        k[i * s_total + j] = 1.0;
-                        k[j * s_total + i] = 1.0;
-                    }
-                }
-            }
-            kg_mats.push(Tensor::new([s_total, s_total], k));
-            if cfg.cooccur_kg {
-                let mut k2 = arena::take_zeroed(s_total * s_total);
-                if let Some(cx) = &self.cooccur {
-                    for i in 0..s_total {
-                        for j in 0..s_total {
-                            if mention_of[i] != mention_of[j] {
-                                k2[i * s_total + j] = cx
-                                    .weight(EntityId(cand_entities[i]), EntityId(cand_entities[j]));
-                            }
-                        }
-                    }
-                }
-                kg_mats.push(Tensor::new([s_total, s_total], k2));
-            }
-            if cfg.kg_two_hop {
-                // Extension (§5 future work): candidates that share a common
-                // KG neighbor without being directly linked — the paper's
-                // multi-hop error bucket — get a (weaker) connection.
-                let mut k3 = arena::take_zeroed(s_total * s_total);
-                for i in 0..s_total {
-                    for j in 0..s_total {
-                        if mention_of[i] != mention_of[j]
-                            && kb.two_hop_connected(
-                                EntityId(cand_entities[i]),
-                                EntityId(cand_entities[j]),
-                            )
-                        {
-                            k3[i * s_total + j] = 0.5;
-                        }
-                    }
-                }
-                kg_mats.push(Tensor::new([s_total, s_total], k3));
-            }
-        }
-        drop(ph);
-        if opts.deadline.expired() {
-            return Err(ForwardInterrupted { phase: "candgen" });
-        }
-
-        // ---- Signal encoding (§3.1) ----
-        let ph = bootleg_obs::trace::phase("embed", "forward.embed_ns");
-
-        // W: contextual sentence matrix (N, H) from the word encoder.
-        let w = self.word_encoder.forward(&g, ps, &ex.tokens);
-
-        let mut parts: Vec<Var> = Vec::new();
-
-        // Static per-entity payloads (entity row, pooled type/rel bags, title
-        // mean) may come straight from the entity-repr cache; the
-        // mention-dependent parts (coarse type, position encoding) stay live.
-        // Gradient-bearing passes skip the cache: leaves carry no params.
-        let mut cached = if training || opts.build_loss {
-            None
-        } else {
-            self.gather_cached_parts(&cand_entities)
-        };
-
-        if cfg.use_entity() {
-            if let Some(t) = cached.as_mut().and_then(|c| c.entity.take()) {
-                parts.push(g.leaf(t));
-            } else {
-                let u = g.gather_rows(ps, self.entity_emb, &cand_entities);
-                let u = if training && !matches!(cfg.regularization, crate::RegScheme::None) {
-                    // 2-D regularization: zero the whole embedding with p(e).
-                    let mut mask = arena::take(s_total * cfg.entity_dim);
-                    for (mrow, &e) in mask.chunks_exact_mut(cfg.entity_dim).zip(&cand_entities) {
-                        let keep = mask_rng.gen::<f32>() >= self.reg_p[e as usize];
-                        mrow.fill(if keep { 1.0 } else { 0.0 });
-                    }
-                    let mv = g.leaf(Tensor::new([s_total, cfg.entity_dim], mask));
-                    u.mul(&mv)
-                } else {
-                    u
-                };
-                parts.push(u);
-            }
-        }
-
-        // Type prediction (Appendix A): coarse mention type from the first +
-        // last contextual token embeddings.
-        let mut type_loss: Option<Var> = None;
-        let mut mention_type_vecs: Vec<Var> = Vec::new();
-        if let Some(tp) = &self.type_pred {
-            let mut logits_rows: Vec<Var> = Vec::new();
-            for m in &ex.mentions {
-                let first = w.select_rows(&[m.first as u32]);
-                let last = w.select_rows(&[m.last as u32]);
-                let mention_emb = first.add(&last);
-                let logits = tp.mlp.forward(&g, ps, &mention_emb); // (1, 6)
-                let probs = logits.softmax_last();
-                let coarse = g.dense_param(ps, tp.coarse_emb); // (6, coarse_dim)
-                mention_type_vecs.push(probs.matmul(&coarse)); // (1, coarse_dim)
-                logits_rows.push(logits);
-            }
-            // Supervise with the gold entity's coarse type where available.
-            if opts.build_loss {
-                let mut targets = Vec::new();
-                let mut supervised_rows: Vec<&Var> = Vec::new();
-                for (mi, m) in ex.mentions.iter().enumerate() {
-                    if let Some(gi) = m.gold {
-                        let gold_entity = m.candidates[gi as usize];
-                        targets.push(self.entity_coarse[gold_entity.idx()]);
-                        supervised_rows.push(&logits_rows[mi]);
-                    }
-                }
-                if !supervised_rows.is_empty() {
-                    let all = g.concat_rows(&supervised_rows);
-                    type_loss = Some(all.cross_entropy_rows(&targets));
-                }
-            }
-        }
-
-        if cfg.use_types() {
-            parts.push(match cached.as_mut().and_then(|c| c.types.take()) {
-                Some(t) => g.leaf(t),
-                None => self.pool_bags_batched(
-                    &g,
-                    &cand_entities,
-                    self.type_emb,
-                    &self.entity_types,
-                    &self.type_attn,
-                ), // (S, type_dim)
-            });
-            if self.type_pred.is_some() {
-                // Concatenate the predicted coarse type of each mention to
-                // every one of its candidates.
-                let refs: Vec<&Var> = mention_of.iter().map(|&mi| &mention_type_vecs[mi]).collect();
-                parts.push(g.concat_rows(&refs)); // (S, coarse_dim)
-            }
-        }
-
-        if cfg.use_kg() {
-            parts.push(match cached.as_mut().and_then(|c| c.rels.take()) {
-                Some(t) => g.leaf(t),
-                None => self.pool_bags_batched(
-                    &g,
-                    &cand_entities,
-                    self.rel_emb,
-                    &self.entity_rels,
-                    &self.rel_attn,
-                ), // (S, rel_dim)
-            });
-        }
-
-        if cfg.title_feature {
-            // Average word embedding of the entity's title tokens (App. B).
-            parts.push(match cached.as_mut().and_then(|c| c.titles.take()) {
-                Some(t) => g.leaf(t),
-                None => self.pool_titles_batched(&g, &cand_entities), // (S, d_model)
-            });
-        }
-
-        let part_refs: Vec<&Var> = parts.iter().collect();
-        let concat = g.concat_last(&part_refs); // (S, mlp_input_dim)
-        let mut e_mat = self.mlp.forward(&g, ps, &concat); // (S, H)
-
-        if cfg.position_encoding {
-            // Appendix A: concat of first/last-token positional encodings,
-            // projected to H, added to each of the mention's candidates.
-            let table = self.word_encoder.pos_table();
-            let d = cfg.word_encoder.d_model;
-            let mut enc = arena::take(s_total * 2 * d);
-            for (erow, &mi) in enc.chunks_exact_mut(2 * d).zip(&mention_of) {
-                let m = &ex.mentions[mi];
-                posenc::write_mention_span_encoding(table, m.first, m.last, erow);
-            }
-            let enc_var = g.leaf(Tensor::new([s_total, 2 * d], enc));
-            e_mat = e_mat.add(&self.pos_proj.forward(&g, ps, &enc_var));
-        }
-        drop(ph);
-        if opts.deadline.expired() {
-            return Err(ForwardInterrupted { phase: "embed" });
-        }
-
-        // ---- Stacked layers (§3.2 end-to-end) ----
-        let ph = bootleg_obs::trace::phase("attention", "forward.attention_ns");
-        let mut e_prime = e_mat.clone();
-        let mut last_e_ks: Vec<Var> = Vec::new();
-        for l in 0..cfg.n_layers {
-            if l > 0 && opts.deadline.expired() {
-                return Err(ForwardInterrupted { phase: "attention" });
-            }
-            let p2e = self.phrase2ent[l].forward(&g, ps, &e_mat, Some(&w));
-            e_prime = if cfg.use_ent2ent {
-                let e2e = self.ent2ent[l].forward(&g, ps, &e_mat, None);
-                p2e.add(&e2e)
-            } else {
-                p2e
-            };
-            last_e_ks.clear();
-            for (j, kmat) in kg_mats.iter().enumerate() {
-                let kv = g.leaf(kmat.clone());
-                let wv = g.dense_param(ps, self.kg_w[l][j]);
-                let attn = kv.add_scaled_identity(&wv).softmax_last();
-                last_e_ks.push(attn.matmul(&e_prime).add(&e_prime));
-            }
-            // Next layer input: average of KG outputs (or E' when no KG).
-            e_mat = match last_e_ks.len() {
-                0 => e_prime.clone(),
-                1 => last_e_ks[0].clone(),
-                n => {
-                    let mut acc = last_e_ks[0].clone();
-                    for ek in &last_e_ks[1..] {
-                        acc = acc.add(ek);
-                    }
-                    acc.scale(1.0 / n as f32)
-                }
-            };
-        }
-        drop(ph);
-        if opts.deadline.expired() {
-            return Err(ForwardInterrupted { phase: "attention" });
-        }
-
-        // ---- Ensemble scoring: S = max(E_k vᵀ, E′ vᵀ) ----
-        let ph = bootleg_obs::trace::phase("score", "forward.score_ns");
-        let v = g.dense_param(ps, self.score_v); // (H, 1)
-        let s_var = if cfg.ensemble_scoring {
-            let mut s = e_prime.matmul(&v); // (S, 1)
-            for ek in &last_e_ks {
-                s = s.maximum(&ek.matmul(&v));
-            }
-            s
-        } else {
-            // Ablation: score only the final layer output (no ensemble).
-            e_mat.matmul(&v)
-        };
-
-        // ---- Per-mention loss and predictions ----
-        let mut dis_loss: Option<Var> = None;
-        let mut n_supervised = 0usize;
-        let mut scores = Vec::with_capacity(ex.mentions.len());
-        let mut predictions = Vec::with_capacity(ex.mentions.len());
-        for (mi, m) in ex.mentions.iter().enumerate() {
-            let k = m.candidates.len();
-            let rows: Vec<u32> = (offsets[mi]..offsets[mi + 1]).map(|r| r as u32).collect();
-            let mention_scores = s_var.select_rows(&rows).reshape(&[1, k]);
-            let values = mention_scores.value();
-            scores.push(values.data().to_vec());
-            predictions.push(values.argmax());
-            if opts.build_loss {
-                if let Some(gi) = m.gold {
-                    let ce = mention_scores.cross_entropy_rows(&[gi]);
-                    n_supervised += 1;
-                    dis_loss = Some(match dis_loss {
-                        Some(acc) => acc.add(&ce),
-                        None => ce,
-                    });
-                }
-            }
-        }
-        let loss = match (dis_loss, n_supervised) {
-            (Some(l), n) if n > 0 => {
-                let l = l.scale(1.0 / n as f32);
-                Some(match type_loss {
-                    Some(tl) => l.add(&tl),
-                    None => l,
-                })
-            }
-            _ => None,
-        };
-
-        // ---- Contextual entity representations for downstream tasks ----
-        let final_e = e_mat.value();
-        let mention_reprs = predictions
-            .iter()
-            .enumerate()
-            .map(|(mi, &p)| final_e.row(offsets[mi] + p).to_vec())
-            .collect();
-        let candidate_reprs = if opts.candidate_reprs {
-            ex.mentions
-                .iter()
-                .enumerate()
-                .map(|(mi, m)| {
-                    (0..m.candidates.len()).map(|j| final_e.row(offsets[mi] + j).to_vec()).collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        drop(ph);
-
-        Ok(ForwardOutput { graph: g, loss, scores, predictions, mention_reprs, candidate_reprs })
-    }
-
-    /// Predicts the entity for each mention of `ex`.
-    pub fn predict(&self, kb: &KnowledgeBase, ex: &Example) -> Vec<EntityId> {
-        let out = self.infer(kb, ex);
-        out.predictions
-            .iter()
-            .zip(&ex.mentions)
-            .map(|(&p, m)| m.candidates[p])
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{BootlegConfig, ModelVariant};
+    use crate::example::Example;
+    use crate::model::BootlegModel;
     use bootleg_corpus::{generate_corpus, CorpusConfig};
-    use bootleg_kb::{generate as gen_kb, KbConfig};
+    use bootleg_kb::{generate as gen_kb, KbConfig, KnowledgeBase};
 
     fn setup() -> (KnowledgeBase, bootleg_corpus::Corpus, BootlegModel) {
         let kb = gen_kb(&KbConfig { n_entities: 300, seed: 41, ..KbConfig::default() });
@@ -613,11 +190,21 @@ mod tests {
         c.train.iter().find_map(Example::training).expect("some training example")
     }
 
+    /// `run` on a 1-example slice.
+    fn one(
+        m: &BootlegModel,
+        kb: &KnowledgeBase,
+        ex: &Example,
+        opts: ForwardOptions,
+    ) -> Result<ForwardOutput, ForwardInterrupted> {
+        Ok(m.run(kb, std::slice::from_ref(ex), opts)?.remove(0))
+    }
+
     #[test]
     fn forward_produces_scores_and_loss() {
         let (kb, c, m) = setup();
         let ex = first_example(&c);
-        let out = m.forward(&kb, &ex, true, 1);
+        let out = one(&m, &kb, &ex, ForwardOptions::training(1)).expect("no deadline");
         assert_eq!(out.scores.len(), ex.mentions.len());
         assert!(out.loss.is_some());
         let lv = out.loss.as_ref().expect("loss").value().item();
@@ -632,7 +219,7 @@ mod tests {
     fn backward_touches_used_embeddings() {
         let (kb, c, mut m) = setup();
         let ex = first_example(&c);
-        let out = m.forward(&kb, &ex, true, 2);
+        let out = one(&m, &kb, &ex, ForwardOptions::training(2)).expect("no deadline");
         let loss = out.loss.expect("loss");
         out.graph.backward(&loss, &mut m.params);
         // Entity table grads are sparse; the candidate rows must be touched
@@ -648,8 +235,11 @@ mod tests {
         let ex = first_example(&c);
         for v in [ModelVariant::Full, ModelVariant::EntOnly, ModelVariant::TypeOnly, ModelVariant::KgOnly] {
             let m = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default().with_variant(v));
-            let out = m.forward(&kb, &ex, false, 0);
+            let out = one(&m, &kb, &ex, ForwardOptions::inference()).expect("no deadline");
             assert_eq!(out.predictions.len(), ex.mentions.len());
+            for (&p, men) in out.predictions.iter().zip(&ex.mentions) {
+                assert!(p < men.candidates.len());
+            }
         }
     }
 
@@ -657,8 +247,9 @@ mod tests {
     fn inference_is_deterministic() {
         let (kb, c, m) = setup();
         let ex = first_example(&c);
-        let a = m.forward(&kb, &ex, false, 0);
-        let b = m.forward(&kb, &ex, false, 99);
+        let tape = |seed| ForwardOptions::training(seed).with_training(false);
+        let a = one(&m, &kb, &ex, tape(0)).expect("no deadline");
+        let b = one(&m, &kb, &ex, tape(99)).expect("no deadline");
         assert_eq!(a.scores, b.scores, "inference must not depend on seed");
     }
 
@@ -666,47 +257,38 @@ mod tests {
     fn training_mode_masking_changes_scores() {
         let (kb, c, m) = setup();
         let ex = first_example(&c);
-        let a = m.forward(&kb, &ex, true, 1);
-        let b = m.forward(&kb, &ex, true, 2);
+        let a = one(&m, &kb, &ex, ForwardOptions::training(1)).expect("no deadline");
+        let b = one(&m, &kb, &ex, ForwardOptions::training(2)).expect("no deadline");
         // With dropout + entity masking, different seeds almost surely give
         // different scores.
         assert_ne!(a.scores, b.scores);
     }
 
     #[test]
-    fn predict_returns_candidates() {
-        let (kb, c, m) = setup();
-        let ex = first_example(&c);
-        let preds = m.predict(&kb, &ex);
-        for (p, men) in preds.iter().zip(&ex.mentions) {
-            assert!(men.candidates.contains(p));
-        }
-    }
-
-    #[test]
     fn mention_reprs_have_hidden_width() {
         let (kb, c, m) = setup();
         let ex = first_example(&c);
-        let out = m.forward(&kb, &ex, false, 0);
+        let out = one(&m, &kb, &ex, ForwardOptions::inference()).expect("no deadline");
         for r in &out.mention_reprs {
             assert_eq!(r.len(), m.config.hidden);
         }
     }
 
     #[test]
-    fn infer_matches_full_inference_forward() {
+    fn lean_inference_matches_full_inference_tape() {
         let (kb, c, m) = setup();
         let ex = first_example(&c);
-        let full = m.forward(&kb, &ex, false, 0);
-        let lean = m.infer(&kb, &ex);
-        assert_eq!(full.scores, lean.scores, "infer must not change scores");
+        let full_opts = ForwardOptions::training(0).with_training(false);
+        let full = one(&m, &kb, &ex, full_opts).expect("no deadline");
+        let lean = one(&m, &kb, &ex, ForwardOptions::inference()).expect("no deadline");
+        assert_eq!(full.scores, lean.scores, "skipping the loss must not change scores");
         assert_eq!(full.predictions, lean.predictions);
         assert_eq!(full.mention_reprs, lean.mention_reprs);
-        assert!(lean.loss.is_none(), "infer must skip the loss");
-        assert!(lean.candidate_reprs.is_empty(), "infer must skip candidate reprs");
+        assert!(lean.loss.is_none(), "inference must skip the loss");
+        assert!(lean.candidate_reprs.is_empty(), "inference must skip candidate reprs");
         // Opting back into candidate reprs restores them bit-for-bit.
-        let with_reprs =
-            m.forward_with(&kb, &ex, ForwardOptions::inference().with_candidate_reprs(true));
+        let with_reprs = one(&m, &kb, &ex, ForwardOptions::inference().with_candidate_reprs(true))
+            .expect("no deadline");
         assert_eq!(full.candidate_reprs, with_reprs.candidate_reprs);
     }
 
@@ -714,7 +296,8 @@ mod tests {
     fn expired_deadline_interrupts_at_first_boundary() {
         let (kb, c, m) = setup();
         let ex = first_example(&c);
-        let err = match m.infer_within(&kb, &ex, Deadline::expired_now()) {
+        let opts = ForwardOptions::inference().with_deadline(Deadline::expired_now());
+        let err = match one(&m, &kb, &ex, opts) {
             Err(e) => e,
             Ok(_) => panic!("expired deadline must interrupt the forward pass"),
         };
@@ -723,11 +306,12 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_deadline_is_bit_identical_to_infer() {
+    fn unexpired_deadline_is_bit_identical_to_none() {
         let (kb, c, m) = setup();
         let ex = first_example(&c);
-        let a = m.infer(&kb, &ex);
-        let b = m.infer_within(&kb, &ex, Deadline::none()).expect("no deadline");
+        let a = one(&m, &kb, &ex, ForwardOptions::inference()).expect("no deadline");
+        let opts = ForwardOptions::inference().with_deadline(Deadline::after_ms(60_000));
+        let b = one(&m, &kb, &ex, opts).expect("generous deadline");
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.predictions, b.predictions);
     }
@@ -749,7 +333,7 @@ mod tests {
         let mut m = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default().benchmark());
         m.set_cooccurrence(crate::cooccur::CooccurrenceIndex::build(&c.train, 2));
         let ex = first_example(&c);
-        let out = m.forward(&kb, &ex, true, 3);
+        let out = one(&m, &kb, &ex, ForwardOptions::training(3)).expect("no deadline");
         assert!(out.loss.expect("loss").value().item().is_finite());
     }
 }

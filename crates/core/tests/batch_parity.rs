@@ -1,14 +1,17 @@
-//! Batched-vs-sequential bit-identity (PR 7 acceptance).
+//! Batch-composition invariance of the forward engine.
 //!
-//! The ragged micro-batch engine must reproduce the sequential forward pass
-//! *bitwise* — scores, predictions, mention representations, candidate
-//! representations and losses — for every batch size, every model variant,
-//! and arbitrarily ragged example mixes. Comparisons use `f32::to_bits` so
+//! At inference, running examples together must give *bitwise* the outputs
+//! of running each one alone — scores, predictions, mention
+//! representations, candidate representations and losses — for every batch
+//! size, every model variant, arbitrarily ragged example mixes, and with
+//! per-example deadline eviction. (What a single example produces is pinned
+//! separately, by the committed oracle in the workspace's
+//! `tests/forward_oracle.rs`.) Comparisons use `f32::to_bits` so
 //! `-0.0`/`0.0` and NaN discrepancies cannot hide behind `==`.
 
 use bootleg_core::{
-    BootlegConfig, BootlegModel, Deadline, ExMention, Example, ForwardOptions, ModelVariant,
-    ValidationLimits,
+    BootlegConfig, BootlegModel, Deadline, ExMention, Example, ForwardOptions, ForwardOutput,
+    ModelVariant, ValidationLimits,
 };
 use bootleg_corpus::{generate_corpus, Corpus, CorpusConfig};
 use bootleg_kb::{generate as gen_kb, EntityId, KbConfig, KnowledgeBase};
@@ -24,7 +27,12 @@ fn setup() -> (KnowledgeBase, Corpus, BootlegModel) {
 }
 
 fn corpus_examples(c: &Corpus, n: usize) -> Vec<Example> {
-    c.dev.iter().filter_map(Example::evaluation).take(n).collect()
+    c.dev.iter().chain(&c.test).chain(&c.train).filter_map(Example::evaluation).take(n).collect()
+}
+
+/// `ex` run alone, as a one-example slice.
+fn alone(kb: &KnowledgeBase, m: &BootlegModel, ex: &Example, opts: ForwardOptions) -> ForwardOutput {
+    m.run(kb, std::slice::from_ref(ex), opts).expect("no deadline").remove(0)
 }
 
 fn bits2(v: &[Vec<f32>]) -> Vec<Vec<u32>> {
@@ -36,12 +44,12 @@ fn bits3(v: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<u32>>> {
 }
 
 /// Asserts the batched outputs of `examples` are bit-identical to running
-/// each example through the sequential engine alone.
+/// each example alone.
 fn assert_parity(kb: &KnowledgeBase, m: &BootlegModel, examples: &[Example], opts: ForwardOptions) {
     let batched = m.run(kb, examples, opts).expect("no deadline");
     assert_eq!(batched.len(), examples.len());
     for (ex, b) in examples.iter().zip(&batched) {
-        let s = m.forward_with(kb, ex, opts);
+        let s = alone(kb, m, ex, opts);
         assert_eq!(bits2(&s.scores), bits2(&b.scores), "scores diverge");
         assert_eq!(s.predictions, b.predictions, "predictions diverge");
         assert_eq!(bits2(&s.mention_reprs), bits2(&b.mention_reprs), "mention reprs diverge");
@@ -65,17 +73,17 @@ fn assert_parity(kb: &KnowledgeBase, m: &BootlegModel, examples: &[Example], opt
 }
 
 #[test]
-fn batch_sizes_match_sequential_bitwise() {
+fn batch_sizes_match_single_runs_bitwise() {
     let (kb, c, m) = setup();
-    let pool = corpus_examples(&c, 16);
-    assert!(pool.len() >= 16, "corpus too small for the batch-size sweep");
-    for &n in &[1usize, 2, 7, 8, 16] {
+    let pool = corpus_examples(&c, 64);
+    assert_eq!(pool.len(), 64, "corpus too small for the batch-size sweep");
+    for &n in &[2usize, 7, 8, 16, 64] {
         assert_parity(&kb, &m, &pool[..n], ForwardOptions::inference());
     }
 }
 
 #[test]
-fn all_variants_match_sequential_bitwise() {
+fn all_variants_match_single_runs_bitwise() {
     let (kb, c, _) = setup();
     let counts = bootleg_corpus::stats::entity_counts(&c.train, true);
     let pool = corpus_examples(&c, 7);
@@ -87,7 +95,15 @@ fn all_variants_match_sequential_bitwise() {
 }
 
 #[test]
-fn benchmark_config_matches_sequential_bitwise() {
+fn serving_config_matches_single_runs_bitwise() {
+    let (kb, c, _) = setup();
+    let counts = bootleg_corpus::stats::entity_counts(&c.train, true);
+    let m = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default().serving());
+    assert_parity(&kb, &m, &corpus_examples(&c, 8), ForwardOptions::inference());
+}
+
+#[test]
+fn benchmark_config_matches_single_runs_bitwise() {
     // The kitchen-sink configuration: title feature, co-occurrence KG,
     // two-hop KG, position encoding, ensemble scoring.
     let (kb, c, _) = setup();
@@ -99,7 +115,7 @@ fn benchmark_config_matches_sequential_bitwise() {
 }
 
 #[test]
-fn loss_and_candidate_reprs_match_sequential_bitwise() {
+fn loss_and_candidate_reprs_match_single_runs_bitwise() {
     let (kb, c, m) = setup();
     let pool: Vec<Example> = c.dev.iter().filter_map(Example::training).take(6).collect();
     assert!(pool.len() >= 2, "need supervised dev examples");
@@ -112,7 +128,7 @@ fn loss_and_candidate_reprs_match_sequential_bitwise() {
 /// mentions (how unknown-alias requests reach the model) and examples at
 /// the `ValidationLimits` boundary.
 #[test]
-fn random_ragged_batches_match_sequential_bitwise() {
+fn random_ragged_batches_match_single_runs_bitwise() {
     let (kb, c, m) = setup();
     let limits = ValidationLimits {
         max_tokens: m.config.word_encoder.max_len,
@@ -160,40 +176,58 @@ fn random_ragged_batches_match_sequential_bitwise() {
 }
 
 #[test]
-fn empty_slice_and_training_dispatch() {
-    let (kb, c, m) = setup();
+fn empty_slice_returns_no_outputs() {
+    let (kb, _, m) = setup();
     assert!(m.run(&kb, &[], ForwardOptions::inference()).expect("empty").is_empty());
-    // Training options route through the sequential engine (batched RNG
-    // cannot reproduce per-example dropout streams) and still work on a
-    // multi-example slice.
-    let pool: Vec<Example> = c.dev.iter().filter_map(Example::training).take(2).collect();
-    let outs = m.run(&kb, &pool, ForwardOptions::training(3)).expect("no deadline");
-    for (ex, out) in pool.iter().zip(&outs) {
-        let direct = m.forward(&kb, ex, true, 3);
-        assert_eq!(bits2(&direct.scores), bits2(&out.scores), "training dispatch diverges");
+    assert!(m.run(&kb, &[], ForwardOptions::training(3)).expect("empty").is_empty());
+}
+
+/// Training mode draws dropout and entity masks from seeded streams: the
+/// same slice and seed reproduce every bit, and a different seed changes
+/// the pass — for a single example and for a multi-example slice alike.
+#[test]
+fn training_mode_is_deterministic_per_seed() {
+    let (kb, c, m) = setup();
+    let pool: Vec<Example> = c.dev.iter().filter_map(Example::training).take(4).collect();
+    assert_eq!(pool.len(), 4, "need supervised dev examples");
+    let fingerprint = |exs: &[Example], seed: u64| -> Vec<(Vec<Vec<u32>>, u32)> {
+        let outs = m.run(&kb, exs, ForwardOptions::training(seed)).expect("no deadline");
+        outs.iter()
+            .map(|o| {
+                let loss = o.loss.as_ref().expect("supervised examples carry a loss");
+                (bits2(&o.scores), loss.value().item().to_bits())
+            })
+            .collect()
+    };
+    for exs in [&pool[..1], &pool[..]] {
+        let a = fingerprint(exs, 11);
+        assert_eq!(a, fingerprint(exs, 11), "same slice and seed must reproduce every bit");
+        assert_ne!(a, fingerprint(exs, 12), "a different seed must change the pass");
     }
 }
 
 #[test]
 fn per_example_deadline_evicts_only_that_example() {
     let (kb, c, m) = setup();
-    let pool = corpus_examples(&c, 4);
+    let pool = corpus_examples(&c, 8);
     let refs: Vec<&Example> = pool.iter().collect();
-    let mut deadlines = vec![Deadline::none(); 4];
-    deadlines[1] = Deadline::expired_now();
-    let results =
-        m.try_forward_batch(&kb, &refs, &ForwardOptions::inference(), &deadlines);
-    assert_eq!(results.len(), 4);
+    let expired = [1usize, 5];
+    let deadlines: Vec<Deadline> = (0..pool.len())
+        .map(|i| if expired.contains(&i) { Deadline::expired_now() } else { Deadline::none() })
+        .collect();
+    let results = m.try_forward_batch(&kb, &refs, &ForwardOptions::inference(), &deadlines);
+    assert_eq!(results.len(), pool.len());
     for (i, r) in results.iter().enumerate() {
-        if i == 1 {
+        if expired.contains(&i) {
             match r {
                 Err(e) => assert_eq!(e.phase, "candgen"),
                 Ok(_) => panic!("expired example must be interrupted"),
             }
         } else {
             let out = r.as_ref().expect("live examples complete");
-            let direct = m.infer(&kb, &pool[i]);
+            let direct = alone(&kb, &m, &pool[i], ForwardOptions::inference());
             assert_eq!(bits2(&direct.scores), bits2(&out.scores), "survivor diverges");
+            assert_eq!(bits2(&direct.mention_reprs), bits2(&out.mention_reprs));
         }
     }
 }

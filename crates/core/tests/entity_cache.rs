@@ -40,7 +40,8 @@ struct Snapshot {
 }
 
 fn snapshot(m: &BootlegModel, kb: &KnowledgeBase, ex: &Example) -> Snapshot {
-    let out = m.forward_with(kb, ex, ForwardOptions::inference());
+    let out = m.run(kb, std::slice::from_ref(ex), ForwardOptions::inference());
+    let out = out.expect("no deadline").remove(0);
     Snapshot {
         scores: bits2(&out.scores),
         predictions: out.predictions,
@@ -54,7 +55,7 @@ fn snapshots(m: &BootlegModel, kb: &KnowledgeBase, exs: &[Example]) -> Vec<Snaps
 }
 
 /// Runs `exs` uncached, then under `Full` and a small `Lru`, asserting every
-/// output is bit-identical — sequential and batched engines both.
+/// output is bit-identical — single-example and batched runs both.
 fn assert_cache_invisible(cfg: BootlegConfig) {
     let (kb, c, mut m) = setup(cfg);
     let exs = corpus_examples(&c, 6);

@@ -66,7 +66,7 @@ impl OvertonModel {
         ex: &Example,
         bootleg_feats: Option<&[Vec<Vec<f32>>]>,
     ) -> Vec<Var> {
-        let w = self.encoder.forward(g, &self.params, &ex.tokens);
+        let (w, _) = self.encoder.forward_batch(g, &self.params, &[&ex.tokens]);
         let mut out = Vec::with_capacity(ex.mentions.len());
         for (mi, m) in ex.mentions.iter().enumerate() {
             let k = m.candidates.len();

@@ -52,61 +52,26 @@ impl MhaBlock {
         }
     }
 
-    /// `x` is `(S, d)`; `kv` (if given) is `(N, d)`. Returns `(S, d)`.
-    pub fn forward(&self, g: &Graph, ps: &ParamStore, x: &Var, kv: Option<&Var>) -> Var {
-        let s = x.shape()[0];
-        let kv_var = kv.unwrap_or(x);
-        let n = kv_var.shape()[0];
-        let d = self.n_heads * self.d_head;
-
-        // (S,d) -> (S,nh,dh) -> (nh,S,dh)
-        let q = self
-            .wq
-            .forward(g, ps, x)
-            .reshape(&[s, self.n_heads, self.d_head])
-            .swap_axes01();
-        let k = self
-            .wk
-            .forward(g, ps, kv_var)
-            .reshape(&[n, self.n_heads, self.d_head])
-            .swap_axes01();
-        let v = self
-            .wv
-            .forward(g, ps, kv_var)
-            .reshape(&[n, self.n_heads, self.d_head])
-            .swap_axes01();
-
-        let scale = 1.0 / (self.d_head as f32).sqrt();
-        let scores = q.batch_matmul(&k.transpose_last2()).scale(scale); // (nh,S,N)
-        let attn = scores.softmax_last().dropout(self.dropout);
-        let ctx = attn.batch_matmul(&v); // (nh,S,dh)
-        let merged = ctx.swap_axes01().reshape(&[s, d]);
-        let out = self.wo.forward(g, ps, &merged).dropout(self.dropout);
-
-        // Residual + LN, then FFN residual + LN.
-        let h = self.ln1.forward(g, ps, &x.add(&out));
-        let f = self.ffn2.forward(g, ps, &self.ffn1.forward(g, ps, &h).gelu()).dropout(self.dropout);
-        self.ln2.forward(g, ps, &h.add(&f))
-    }
-
-    /// Ragged-batched forward over B examples stacked by rows. `x` is the
-    /// row-concatenation of B per-example `(S_i, d)` matrices and `kv` (if
+    /// Forward over B sequences stacked by rows. `x` is the
+    /// row-concatenation of B per-sequence `(S_i, d)` matrices and `kv` (if
     /// given) the concatenation of the matching `(N_i, d)` key/value
-    /// matrices; `q_spans[i]` / `kv_spans[i]` are each example's contiguous
-    /// `(start, len)` row ranges.
+    /// matrices; `q_spans[i]` / `kv_spans[i]` are each sequence's contiguous
+    /// `(start, len)` row ranges. A single sequence passes one span covering
+    /// all of its rows.
     ///
     /// The projections, output head, FFN and both LayerNorms are row-wise,
     /// so they run once on the tall concatenated matrices; only the
-    /// attention core (scores / softmax / context) runs per example, on row
-    /// slices, which keeps cross-example attention impossible. Every row of
-    /// the result is bit-identical to calling [`MhaBlock::forward`] on that
-    /// example alone: row-wise kernels accumulate per row regardless of how
-    /// rows are stacked, and the per-example core replays the exact same op
+    /// attention core (scores / softmax / context) runs per sequence, on row
+    /// slices, which keeps cross-sequence attention impossible. At
+    /// inference every row of the result is bit-identical to running its
+    /// sequence alone: row-wise kernels accumulate per row regardless of how
+    /// rows are stacked, and the per-sequence core replays the same op
     /// sequence on bitwise-equal inputs.
     ///
-    /// Inference-only: the sequential path's `dropout` calls are `scale(1.0)`
-    /// at inference (an exact multiplicative identity), so this path omits
-    /// them; there is no RNG to keep in sync.
+    /// In a training-mode graph the three dropouts draw from the graph's RNG
+    /// in a fixed order — attention weights (per sequence), output head,
+    /// FFN — which is part of the training numerics pinned by the forward
+    /// oracle (`tests/forward_oracle.rs`).
     pub fn forward_ragged(
         &self,
         g: &Graph,
@@ -145,7 +110,11 @@ impl MhaBlock {
                 .select_rows(&kv_rows)
                 .reshape(&[kl, self.n_heads, self.d_head])
                 .swap_axes01();
-            let attn = q.batch_matmul(&k.transpose_last2()).scale(scale).softmax_last();
+            let attn = q
+                .batch_matmul(&k.transpose_last2())
+                .scale(scale)
+                .softmax_last()
+                .dropout(self.dropout);
             ctx_parts.push(attn.batch_matmul(&v).swap_axes01().reshape(&[ql, d]));
         }
         drop(_sc);
@@ -153,9 +122,11 @@ impl MhaBlock {
         let refs: Vec<&Var> = ctx_parts.iter().collect();
         let merged = g.concat_rows(&refs);
 
-        let out = self.wo.forward(g, ps, &merged);
+        let out = self.wo.forward(g, ps, &merged).dropout(self.dropout);
+
+        // Residual + LN, then FFN residual + LN.
         let h = self.ln1.forward(g, ps, &x.add(&out));
-        let f = self.ffn2.forward(g, ps, &self.ffn1.forward(g, ps, &h).gelu());
+        let f = self.ffn2.forward(g, ps, &self.ffn1.forward(g, ps, &h).gelu()).dropout(self.dropout);
         self.ln2.forward(g, ps, &h.add(&f))
     }
 }
@@ -242,7 +213,7 @@ mod tests {
         let blk = MhaBlock::new(&mut ps, &mut rng, "b", 8, 2, 2, 0.0);
         let g = Graph::new();
         let x = g.leaf(init::normal(&mut rng, &[5, 8], 1.0));
-        let y = blk.forward(&g, &ps, &x, None);
+        let y = blk.forward_ragged(&g, &ps, &x, None, &[(0, 5)], &[(0, 5)]);
         assert_eq!(y.shape(), vec![5, 8]);
         assert!(!y.value().has_non_finite());
     }
@@ -255,7 +226,7 @@ mod tests {
         let g = Graph::new();
         let x = g.leaf(init::normal(&mut rng, &[3, 8], 1.0));
         let kv = g.leaf(init::normal(&mut rng, &[7, 8], 1.0));
-        let y = blk.forward(&g, &ps, &x, Some(&kv));
+        let y = blk.forward_ragged(&g, &ps, &x, Some(&kv), &[(0, 3)], &[(0, 7)]);
         assert_eq!(y.shape(), vec![3, 8]);
     }
 
@@ -266,7 +237,7 @@ mod tests {
         let blk = MhaBlock::new(&mut ps, &mut rng, "b", 8, 2, 2, 0.0);
         let g = Graph::new();
         let x = g.leaf(init::normal(&mut rng, &[4, 8], 1.0));
-        let loss = blk.forward(&g, &ps, &x, None).sum_all();
+        let loss = blk.forward_ragged(&g, &ps, &x, None, &[(0, 4)], &[(0, 4)]).sum_all();
         g.backward(&loss, &mut ps);
         for (_, p) in ps.iter() {
             assert!(p.dense_touched, "param {} got no gradient", p.name);

@@ -68,24 +68,11 @@ impl WordEncoder {
         Self { emb, layers, pos_table, config }
     }
 
-    /// Encodes `tokens` into `(N, d_model)` contextual embeddings.
-    pub fn forward(&self, g: &Graph, ps: &ParamStore, tokens: &[u32]) -> Var {
-        assert!(!tokens.is_empty(), "cannot encode an empty sentence");
-        let words = g.gather_rows(ps, self.emb, tokens);
-        let positions: Vec<usize> = (0..tokens.len()).collect();
-        let pos = g.leaf(posenc::encode_positions(&self.pos_table, &positions).scale_copy(0.5));
-        let mut h = words.add(&pos);
-        for layer in &self.layers {
-            h = layer.forward(g, ps, &h, None);
-        }
-        h
-    }
-
-    /// Encodes B sentences in one ragged batch. Returns the row-concatenated
+    /// Encodes B sentences in one ragged pass. Returns the row-concatenated
     /// `(ΣN_i, d_model)` contextual matrix plus each sentence's `(start, len)`
-    /// row span into it. Inference-only (see [`MhaBlock::forward_ragged`]);
-    /// each sentence's rows are bit-identical to [`WordEncoder::forward`] on
-    /// that sentence alone.
+    /// row span into it; a single sentence is a batch of one. At inference
+    /// each sentence's rows are bit-identical to encoding it alone (see
+    /// [`MhaBlock::forward_ragged`]).
     pub fn forward_batch(
         &self,
         g: &Graph,
@@ -141,6 +128,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn encode(enc: &WordEncoder, g: &Graph, ps: &ParamStore, tokens: &[u32]) -> Var {
+        enc.forward_batch(g, ps, &[tokens]).0
+    }
+
     fn encoder() -> (ParamStore, WordEncoder) {
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(9);
@@ -153,7 +144,7 @@ mod tests {
     fn output_shape_matches_tokens() {
         let (ps, enc) = encoder();
         let g = Graph::new();
-        let w = enc.forward(&g, &ps, &[1, 5, 9]);
+        let w = encode(&enc, &g, &ps, &[1, 5, 9]);
         assert_eq!(w.shape(), vec![3, 16]);
     }
 
@@ -162,8 +153,8 @@ mod tests {
         // The same token in different contexts must encode differently.
         let (ps, enc) = encoder();
         let g = Graph::new();
-        let a = enc.forward(&g, &ps, &[7, 1, 2]).value();
-        let b = enc.forward(&g, &ps, &[7, 30, 31]).value();
+        let a = encode(&enc, &g, &ps, &[7, 1, 2]).value();
+        let b = encode(&enc, &g, &ps, &[7, 30, 31]).value();
         let d: f32 = a.row(0).iter().zip(b.row(0)).map(|(x, y)| (x - y).abs()).sum();
         assert!(d > 1e-4, "token 7 should be contextualized");
     }
@@ -172,8 +163,8 @@ mod tests {
     fn position_changes_representation() {
         let (ps, enc) = encoder();
         let g = Graph::new();
-        let a = enc.forward(&g, &ps, &[7, 8]).value();
-        let b = enc.forward(&g, &ps, &[8, 7]).value();
+        let a = encode(&enc, &g, &ps, &[7, 8]).value();
+        let b = encode(&enc, &g, &ps, &[8, 7]).value();
         let d: f32 = a.row(0).iter().zip(b.row(1)).map(|(x, y)| (x - y).abs()).sum();
         assert!(d > 1e-4, "position must matter");
     }
@@ -183,6 +174,6 @@ mod tests {
     fn empty_sentence_panics() {
         let (ps, enc) = encoder();
         let g = Graph::new();
-        enc.forward(&g, &ps, &[]);
+        encode(&enc, &g, &ps, &[]);
     }
 }

@@ -38,7 +38,7 @@ fn mha_block_param_grads_self_attention() {
         &mut ps,
         |g, s| {
             let xv = g.leaf(x.clone());
-            weighted(g, &blk.forward(g, s, &xv, None))
+            weighted(g, &blk.forward_ragged(g, s, &xv, None, &[(0, 4)], &[(0, 4)]))
         },
         TOL,
         16,
@@ -58,7 +58,7 @@ fn mha_block_param_grads_cross_attention() {
         |g, s| {
             let xv = g.leaf(x.clone());
             let kvv = g.leaf(kv.clone());
-            weighted(g, &blk.forward(g, s, &xv, Some(&kvv)))
+            weighted(g, &blk.forward_ragged(g, s, &xv, Some(&kvv), &[(0, 3)], &[(0, 5)]))
         },
         TOL,
         16,
@@ -92,7 +92,7 @@ fn word_encoder_param_grads() {
     let enc = WordEncoder::new(&mut ps, &mut rng, "e", cfg);
     let mm = check_param_grads(
         &mut ps,
-        |g, s| weighted(g, &enc.forward(g, s, &[1, 5, 9, 3])),
+        |g, s| weighted(g, &enc.forward_batch(g, s, &[&[1, 5, 9, 3]]).0),
         TOL,
         16,
     );

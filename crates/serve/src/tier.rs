@@ -8,7 +8,7 @@
 
 use crate::error::{panic_message, TierFailure};
 use bootleg_core::fault::FaultPlan;
-use bootleg_core::{BootlegModel, Deadline, Example, ValidationLimits};
+use bootleg_core::{BootlegModel, Deadline, Example, ForwardOptions, ValidationLimits};
 use bootleg_eval::Predictor;
 use bootleg_kb::KnowledgeBase;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,7 +78,7 @@ pub trait Tier: Sync {
 
 /// The primary tier: the full Bootleg model.
 ///
-/// Runs [`BootlegModel::infer_within`] under `catch_unwind`, so a poisoned
+/// Runs [`BootlegModel::try_forward_batch`] under `catch_unwind`, so a poisoned
 /// example becomes [`TierFailure::Panicked`] and an expired deadline becomes
 /// [`TierFailure::DeadlineExceeded`] with the last completed phase. An
 /// optional [`FaultPlan`] injects `SlowInfer` stalls and `PanicOnExample`
@@ -136,7 +136,8 @@ impl ModelTier<'_> {
             if self.faults.panic_on_example(cx.seq) {
                 panic!("injected panic on request {}", cx.seq);
             }
-            self.model.infer_within(self.kb, ex, cx.deadline)
+            let inference = ForwardOptions::inference();
+            self.model.try_forward_batch(self.kb, &[ex], &inference, &[cx.deadline]).remove(0)
         }));
         match result {
             Ok(Ok(out)) => Ok(out.predictions),
@@ -209,7 +210,7 @@ impl Tier for ModelTier<'_> {
                 self.model.try_forward_batch(
                     self.kb,
                     &batch_exs,
-                    &bootleg_core::ForwardOptions::inference(),
+                    &ForwardOptions::inference(),
                     &deadlines,
                 )
             }));

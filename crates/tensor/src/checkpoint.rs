@@ -401,8 +401,12 @@ pub fn decode_tensors(bytes: &[u8]) -> io::Result<Vec<Tensor>> {
         for _ in 0..rank {
             shape.push(r.u64()? as usize);
         }
-        let numel: usize = shape.iter().product();
-        let raw = r.take(numel * 4)?;
+        let byte_len = shape
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .and_then(|numel| numel.checked_mul(4))
+            .ok_or_else(|| bad("tensor dims overflow"))?;
+        let raw = r.take(byte_len)?;
         let data = raw
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))

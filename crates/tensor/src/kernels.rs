@@ -284,7 +284,7 @@ fn avx2_available() -> bool {
 /// `a` panels take the same naive fallback as the portable tile; unlike the
 /// portable tile, row tails (< [`MR`] rows) run vectorized at reduced height
 /// rather than falling back to the scalar loop, which matters for the skinny
-/// per-example matrices of the sequential forward path.
+/// per-example matrices of one-example forward passes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_acc_tiled_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
@@ -906,7 +906,7 @@ pub fn gelu(x: f32) -> f32 {
 /// tail after the 8-wide loop replays the *same* polynomial op sequence
 /// ([`gelu_poly`]), never libm, so a given input value maps to the same
 /// output bits wherever it sits in the slice. That per-value determinism is
-/// what the batched-vs-sequential parity invariant needs: ragged batching
+/// what the batched-vs-alone parity invariant needs: ragged batching
 /// shifts an element's offset (and thus body-vs-tail placement), but never
 /// its value.
 pub fn gelu_slice(x: &[f32], out: &mut [f32]) {

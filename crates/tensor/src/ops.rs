@@ -75,8 +75,14 @@ impl Graph {
     }
 
     /// Stacks inputs along axis 0. Rank-1 inputs count as single rows.
+    /// A single rank-2 part is returned as is: no copy, no tape node.
     pub fn concat_rows(&self, parts: &[&Var]) -> Var {
         assert!(!parts.is_empty());
+        if let [only] = parts {
+            if only.shape().rank() == 2 {
+                return (*only).clone();
+            }
+        }
         let out = {
             let inner = self.inner.borrow();
             let values: Vec<&Tensor> = parts.iter().map(|v| &inner.nodes[v.id].value).collect();
@@ -318,12 +324,16 @@ impl Var {
         self.graph.push(out, Op::Reshape(self.id))
     }
 
-    /// Gathers rows of a rank-2 tensor (duplicates allowed).
+    /// Gathers rows of a rank-2 tensor (duplicates allowed). Selecting every
+    /// row in order returns `self`: no copy, no tape node.
     pub fn select_rows(&self, idx: &[u32]) -> Var {
         let out = {
             let inner = self.graph.inner.borrow();
             let x = &inner.nodes[self.id].value;
             assert_eq!(x.rank(), 2, "select_rows needs rank 2");
+            if idx.len() == x.shape()[0] && idx.iter().enumerate().all(|(i, &r)| r as usize == i) {
+                return self.clone();
+            }
             let cols = x.shape()[1];
             let mut out = arena::take(idx.len() * cols);
             for (orow, &r) in out.chunks_exact_mut(cols).zip(idx) {
@@ -475,11 +485,11 @@ impl Var {
         self.graph.push(out, Op::Maximum(self.id, other.id))
     }
 
-    /// Inverted dropout; identity when the graph is in inference mode or
-    /// `p == 0`.
+    /// Inverted dropout. Inactive (inference-mode graph, or `p <= 0`) it
+    /// returns `self`: no copy, no tape node.
     pub fn dropout(&self, p: f32) -> Var {
         if p <= 0.0 || !self.graph.training() {
-            return self.scale(1.0);
+            return self.clone();
         }
         let keep = 1.0 - p;
         let (out, mask) = {

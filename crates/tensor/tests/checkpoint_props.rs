@@ -119,6 +119,27 @@ fn wrong_version_is_rejected_even_with_valid_crc() {
 }
 
 #[test]
+fn overflowing_tensor_dims_are_a_typed_error() {
+    // One tensor whose dims multiply past usize (2^33 · 2^31 = 2^64), and
+    // one whose element count fits but whose byte length (·4) does not,
+    // each in a CRC-valid checkpoint section.
+    for dims in [[1u64 << 33, 1 << 31], [1 << 62, 1]] {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&1u32.to_le_bytes()); // tensor count
+        payload.extend_from_slice(&2u32.to_le_bytes()); // rank
+        for d in dims {
+            payload.extend_from_slice(&d.to_le_bytes());
+        }
+        let mut c = Checkpoint::new(1);
+        c.put("tensors", payload);
+        let parsed = Checkpoint::from_bytes(&c.to_bytes()).expect("container is CRC-valid");
+        let err = decode_tensors(parsed.get("tensors").expect("section present"))
+            .expect_err("overflowing dims must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "dims {dims:?}: {err}");
+    }
+}
+
+#[test]
 fn param_store_section_roundtrips_bit_exactly() {
     let mut store = ParamStore::new();
     store.add("w1", Tensor::new(vec![3, 4], (0..12).map(|i| i as f32 * 0.37 - 2.0).collect()));

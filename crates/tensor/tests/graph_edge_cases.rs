@@ -83,3 +83,35 @@ fn empty_graph_reports_empty() {
     let _ = g.leaf(Tensor::scalar(1.0));
     assert!(!g.is_empty());
 }
+
+#[test]
+fn identity_selections_and_inactive_dropout_record_no_node() {
+    let mut ps = ParamStore::new();
+    let g = Graph::new();
+    let x = g.leaf(Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
+    let before = g.len();
+    let all = x.select_rows(&[0, 1]);
+    let one = g.concat_rows(&[&all]);
+    let kept = one.dropout(0.5); // inference-mode graph: inactive
+    assert_eq!(g.len(), before, "identity ops must not grow the tape");
+    assert_eq!(kept.value().data(), x.value().data());
+    // Any other selection still copies.
+    assert_eq!(x.select_rows(&[1, 0]).value().data(), &[3.0, 4.0, 1.0, 2.0]);
+    assert_eq!(g.len(), before + 1);
+    // Gradients flow through the identities unchanged.
+    let loss = kept.scale(2.0).sum_all();
+    g.backward(&loss, &mut ps);
+    assert_eq!(x.grad().expect("grad").data(), &[2.0, 2.0, 2.0, 2.0]);
+}
+
+#[test]
+fn zero_rate_dropout_in_training_records_no_node() {
+    let g = Graph::with_mode(true, 7);
+    let x = g.leaf(Tensor::from_slice(&[1.0, -2.0, 3.0]));
+    let before = g.len();
+    let y = x.dropout(0.0);
+    assert_eq!(g.len(), before);
+    assert_eq!(y.value().data(), &[1.0, -2.0, 3.0]);
+    x.dropout(0.5);
+    assert_eq!(g.len(), before + 1, "active dropout records its node");
+}

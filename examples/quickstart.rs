@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use bootleg::core::{train, BootlegConfig, BootlegModel, Example, TrainConfig};
+use bootleg::core::{train, BootlegConfig, BootlegModel, Example, ForwardOptions, TrainConfig};
 use bootleg::corpus::{generate_corpus, CorpusConfig};
 use bootleg::kb::{generate, KbConfig};
 
@@ -35,9 +35,13 @@ fn main() {
     let mut shown = 0;
     for s in &corpus.dev {
         let Some(ex) = Example::evaluation(s) else { continue };
-        let predictions = model.predict(&kb, &ex);
+        let out = model
+            .run(&kb, std::slice::from_ref(&ex), ForwardOptions::inference())
+            .expect("no deadline")
+            .remove(0);
         println!("sentence: \"{}\"", corpus.vocab.decode(&s.tokens));
-        for (m, pred) in ex.mentions.iter().zip(&predictions) {
+        for (m, &p) in ex.mentions.iter().zip(&out.predictions) {
+            let pred = &m.candidates[p];
             let gold = m.candidates[m.gold.expect("eval mention") as usize];
             println!(
                 "  mention \"{}\" ({} candidates) -> predicted {:?}, gold {:?} [{}]",

@@ -8,7 +8,7 @@
 use bootleg::baselines::{train_ned_base, NedBase, NedBaseConfig};
 use bootleg::core::{train, BootlegConfig, BootlegModel, Example, TrainConfig};
 use bootleg::corpus::{generate_corpus, CorpusConfig};
-use bootleg::eval::{evaluate_slices, par_evaluate, BootlegPredictor};
+use bootleg::eval::{evaluate_slices, par_evaluate, BootlegPredictor, Predictor};
 use bootleg::kb::{generate, KbConfig};
 
 fn main() {
@@ -44,12 +44,12 @@ fn main() {
     println!("\nAn unseen-entity mention resolved by structure:");
     for s in &corpus.dev {
         let Some(ex) = Example::evaluation(s) else { continue };
-        let bpred = bootleg_model.predict(&kb, &ex);
+        let bpred_idx = BootlegPredictor::new(&bootleg_model, &kb).predict(&ex);
         let npred_idx = ned.predict_indices(&ex);
-        for ((m, bp), &ni) in ex.mentions.iter().zip(&bpred).zip(&npred_idx) {
+        for ((m, &bi), &ni) in ex.mentions.iter().zip(&bpred_idx).zip(&npred_idx) {
             let gold = m.candidates[m.gold.expect("eval") as usize];
             let unseen = !counts.contains_key(&gold);
-            if unseen && *bp == gold && m.candidates[ni] != gold {
+            if unseen && m.candidates[bi] == gold && m.candidates[ni] != gold {
                 let e = kb.entity(gold);
                 println!("  sentence: \"{}\"", corpus.vocab.decode(&s.tokens));
                 println!(
@@ -60,7 +60,7 @@ fn main() {
                 );
                 println!(
                     "  Bootleg: {:?} correct | NED-Base: {:?} wrong",
-                    kb.entity(*bp).title_tokens,
+                    kb.entity(gold).title_tokens,
                     kb.entity(m.candidates[ni]).title_tokens
                 );
                 return;

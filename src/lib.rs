@@ -31,7 +31,7 @@
 //! ```
 //! use bootleg::kb::{generate, KbConfig};
 //! use bootleg::corpus::{generate_corpus, CorpusConfig};
-//! use bootleg::core::{BootlegModel, BootlegConfig, TrainConfig, Example, train};
+//! use bootleg::core::{BootlegModel, BootlegConfig, TrainConfig, Example, ForwardOptions, train};
 //!
 //! // 1. A knowledge base and a self-supervised corpus.
 //! let kb = generate(&KbConfig { n_entities: 300, seed: 1, ..Default::default() });
@@ -44,7 +44,10 @@
 //! // 3. Train briefly and disambiguate.
 //! train(&mut model, &kb, &corpus.train[..20], &TrainConfig { epochs: 1, ..Default::default() });
 //! let example = corpus.dev.iter().find_map(Example::evaluation).expect("an evaluable sentence");
-//! let entities = model.predict(&kb, &example);
+//! let outs = model.run(&kb, std::slice::from_ref(&example), ForwardOptions::inference());
+//! let predictions = &outs.expect("no deadline")[0].predictions; // candidate index per mention
+//! let entities: Vec<_> =
+//!     predictions.iter().zip(&example.mentions).map(|(&p, m)| m.candidates[p]).collect();
 //! assert_eq!(entities.len(), example.mentions.len());
 //! ```
 

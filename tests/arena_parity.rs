@@ -7,11 +7,17 @@
 //! divergence. This file holds exactly one test because the arena switch is
 //! process-global.
 
-use bootleg::core::{train, BootlegConfig, BootlegModel, Example, TrainConfig};
+use bootleg::core::{train, BootlegConfig, BootlegModel, Example, ForwardOptions, TrainConfig};
 use bootleg::corpus::{generate_corpus, CorpusConfig};
 use bootleg::eval::evaluate_slices;
-use bootleg::kb::{generate, KbConfig};
+use bootleg::kb::{generate, KbConfig, KnowledgeBase};
 use bootleg::tensor::arena;
+
+/// Inference predictions for one example.
+fn infer(model: &BootlegModel, kb: &KnowledgeBase, ex: &Example) -> Vec<usize> {
+    let out = model.run(kb, std::slice::from_ref(ex), ForwardOptions::inference());
+    out.expect("no deadline").remove(0).predictions
+}
 
 struct RunResult {
     param_bits: Vec<u32>,
@@ -41,11 +47,9 @@ fn train_and_eval(arena_on: bool) -> RunResult {
         .dev
         .iter()
         .filter_map(Example::training)
-        .map(|ex| model.infer(&kb, &ex).predictions)
+        .map(|ex| infer(&model, &kb, &ex))
         .collect();
-    let report = evaluate_slices(&corpus.dev, &counts, |ex: &Example| {
-        model.infer(&kb, ex).predictions
-    });
+    let report = evaluate_slices(&corpus.dev, &counts, |ex: &Example| infer(&model, &kb, ex));
     arena::set_enabled(true);
     RunResult { param_bits, predictions, report }
 }
