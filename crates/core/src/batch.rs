@@ -34,16 +34,21 @@
 //!
 //! # Training
 //!
-//! With `opts.training` the graph runs in training mode: dropout draws from
-//! the graph's RNG (seeded by `opts.seed`) and the 2-D entity mask draws
-//! from a second stream seeded by `opts.seed ^ 0x9e37_79b9_7f4a_7c15`, one
-//! draw per candidate row in batch order. Both streams are consumed
-//! sequentially across the whole batch, so a training pass over N examples
-//! is deterministic for a given slice and seed but differs from N separate
-//! passes. `core::train` runs one example per pass.
+//! With `opts.training` the graph runs in training mode, and every example
+//! owns its RNG streams. Example `b` of the slice gets the seed `seed_b` of
+//! the [`lcg`] chain started at `opts.seed` (`seed_0 = opts.seed`,
+//! `seed_{b+1} = lcg(seed_b)`). Its dropout masks draw from a stream seeded
+//! with `seed_b` — every dropout over row-stacked matrices splits by the
+//! example row spans (`tok_spans`, `cand_spans`, mention ranges) — and its
+//! 2-D entity mask from a stream seeded with `seed_b ^ 0x9e37_79b9_7f4a_7c15`,
+//! one draw per candidate row. Ops draw in the same order for every
+//! example, so each example sees exactly the draws it would see alone with
+//! seed `seed_b`: a training pass over N examples equals N one-example
+//! passes bit for bit on losses and scores, and `core::train` runs each
+//! minibatch as one tall graph with one `backward`.
 
 use crate::example::Example;
-use crate::forward::{Deadline, ForwardInterrupted, ForwardOptions, ForwardOutput};
+use crate::forward::{lcg, Deadline, ForwardInterrupted, ForwardOptions, ForwardOutput};
 use crate::model::BootlegModel;
 use crate::RegScheme;
 use bootleg_kb::{EntityId, KnowledgeBase};
@@ -68,6 +73,8 @@ struct ExLayout {
     s_start: usize,
     /// First mention of this example in the global mention list.
     m_start: usize,
+    /// This example's training seed (`seed_b` of the [`lcg`] chain).
+    seed: u64,
 }
 
 impl BootlegModel {
@@ -108,7 +115,6 @@ impl BootlegModel {
         let _fwd = bootleg_obs::span!("forward");
         bootleg_obs::counter!("forward.batch_examples").add(examples.len() as u64);
         let training = opts.training;
-        let g = Graph::with_mode(training, opts.seed);
         let ps = &self.params;
         let cfg = &self.config;
 
@@ -127,7 +133,10 @@ impl BootlegModel {
         let mut included: Vec<ExLayout> = Vec::with_capacity(examples.len());
         let mut s_total = 0usize;
         let mut m_total = 0usize;
+        let mut next_seed = opts.seed;
         for (ei, ex) in examples.iter().enumerate() {
+            let seed = next_seed;
+            next_seed = lcg(next_seed);
             let mut cand_entities: Vec<u32> = Vec::with_capacity(ex.total_candidates());
             let mut mention_of: Vec<usize> = Vec::new();
             let mut offsets: Vec<usize> = Vec::with_capacity(ex.mentions.len() + 1);
@@ -204,6 +213,7 @@ impl BootlegModel {
                 kg_mats,
                 s_start: s_total,
                 m_start: m_total,
+                seed,
             });
             s_total += s_i;
             m_total += examples[ei].mentions.len();
@@ -212,6 +222,12 @@ impl BootlegModel {
         if included.is_empty() {
             return out.into_iter().map(|o| o.expect("all failed at candgen")).collect();
         }
+
+        // Included example `i` owns dropout stream `i`; every row span below
+        // lists the included examples in that order.
+        let stream_seeds: Vec<u64> =
+            if training { included.iter().map(|l| l.seed).collect() } else { Vec::new() };
+        let g = Graph::with_streams(training, &stream_seeds);
 
         // Global index maps over the included examples.
         let cand_spans: Vec<(usize, usize)> =
@@ -251,12 +267,16 @@ impl BootlegModel {
             } else {
                 let u = g.gather_rows(ps, self.entity_emb, &global_cands);
                 parts.push(if training && !matches!(cfg.regularization, RegScheme::None) {
-                    // 2-D regularization: zero the whole embedding with p(e).
-                    let mut mask_rng = StdRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
+                    // 2-D regularization: zero the whole embedding with p(e),
+                    // one draw per candidate row from the example's mask stream.
                     let mut mask = arena::take(s_total * cfg.entity_dim);
-                    for (mrow, &e) in mask.chunks_exact_mut(cfg.entity_dim).zip(&global_cands) {
-                        let keep = mask_rng.gen::<f32>() >= self.reg_p[e as usize];
-                        mrow.fill(if keep { 1.0 } else { 0.0 });
+                    let mut mrows = mask.chunks_exact_mut(cfg.entity_dim);
+                    for l in &included {
+                        let mut mask_rng = StdRng::seed_from_u64(l.seed ^ 0x9e37_79b9_7f4a_7c15);
+                        for (&e, mrow) in l.cand_entities.iter().zip(&mut mrows) {
+                            let keep = mask_rng.gen::<f32>() >= self.reg_p[e as usize];
+                            mrow.fill(if keep { 1.0 } else { 0.0 });
+                        }
                     }
                     u.mul(&g.leaf(Tensor::new([s_total, cfg.entity_dim], mask)))
                 } else {
@@ -278,8 +298,10 @@ impl BootlegModel {
                     lasts.push((t_start + m.last) as u32);
                 }
             }
+            let mention_spans: Vec<(usize, usize)> =
+                included.iter().map(|l| (l.m_start, examples[l.ei].mentions.len())).collect();
             let mention_emb = w.select_rows(&firsts).add(&w.select_rows(&lasts));
-            let logits = tp.mlp.forward(&g, ps, &mention_emb); // (M, 6)
+            let logits = tp.mlp.forward_ragged(&g, ps, &mention_emb, &mention_spans); // (M, 6)
             let probs = logits.softmax_last();
             let coarse = g.dense_param(ps, tp.coarse_emb); // (6, coarse_dim)
             mention_type_vec = Some(probs.matmul(&coarse)); // (M, coarse_dim)
@@ -348,7 +370,7 @@ impl BootlegModel {
         let part_refs: Vec<&Var> = parts.iter().collect();
         let _s2 = bootleg_obs::span!("emb_mlp");
         let concat = g.concat_last(&part_refs); // (ΣS, mlp_input_dim)
-        let mut e_mat = self.mlp.forward(&g, ps, &concat); // (ΣS, H)
+        let mut e_mat = self.mlp.forward_ragged(&g, ps, &concat, &cand_spans); // (ΣS, H)
         drop(_s2);
 
         if cfg.position_encoding {

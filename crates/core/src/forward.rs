@@ -75,6 +75,14 @@ impl std::fmt::Display for ForwardInterrupted {
 
 impl std::error::Error for ForwardInterrupted {}
 
+/// One step of the training seed chain (Knuth's MMIX LCG). A training pass
+/// with seed `s` over N examples gives example `b` the seed `seed_b`, where
+/// `seed_0 = s` and `seed_{b+1} = lcg(seed_b)`; `core::train` advances its
+/// step seed with the same function, one step per example.
+pub fn lcg(seed: u64) -> u64 {
+    seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
+}
+
 /// What a forward pass should compute beyond scores and predictions.
 ///
 /// Inference-only callers (evaluation drivers, bench bins, serving) use
@@ -85,7 +93,8 @@ impl std::error::Error for ForwardInterrupted {}
 pub struct ForwardOptions {
     /// Enables dropout and 2-D entity-embedding masking.
     pub training: bool,
-    /// Seed for dropout/masking (ignored at inference).
+    /// Seed for dropout/masking (ignored at inference): example `b` of the
+    /// pass draws from the `b`-th seed of the [`lcg`] chain started here.
     pub seed: u64,
     /// Build the `L_dis + L_type` loss node (needed to call `backward`).
     pub build_loss: bool,

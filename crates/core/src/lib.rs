@@ -47,7 +47,7 @@ pub use config::{BootlegConfig, ModelVariant};
 pub use entitycache::CachePolicy;
 pub use example::{ExMention, Example, ExampleDefect, ValidationLimits};
 pub use explain::{Explanation, Signal};
-pub use forward::{Deadline, ForwardInterrupted, ForwardOptions, ForwardOutput};
+pub use forward::{lcg, Deadline, ForwardInterrupted, ForwardOptions, ForwardOutput};
 pub use frozen::{
     artifact_from_env, freeze, freeze_to_path, thaw_from_bytes, thaw_from_path, FrozenBundle,
     FrozenError,

@@ -19,11 +19,12 @@
 
 use crate::example::Example;
 use crate::fault::{corrupt_file, FaultPlan};
-use crate::forward::ForwardOptions;
+use crate::forward::{lcg, Deadline, ForwardOptions, ForwardOutput};
 use crate::model::BootlegModel;
 use bootleg_corpus::Sentence;
 use bootleg_kb::KnowledgeBase;
 use bootleg_nn::optim::{clip_grad_norm, Adam};
+use bootleg_tensor::Var;
 use bootleg_tensor::checkpoint::{
     decode_u64s, encode_param_store, encode_u64s, Checkpoint, CheckpointManager,
 };
@@ -477,29 +478,45 @@ pub fn train_resumable(
             }
             st.attempt += 1;
 
+            // One tall graph per minibatch. Example b draws its dropout and
+            // 2-D masks from seed_b of the lcg chain started at
+            // lcg(step_seed), and step_seed advances one lcg step per
+            // example, so an example's seed depends only on its position in
+            // the visit order, not on the batch size.
+            let refs: Vec<&Example> = batch.iter().map(|&i| &examples[i]).collect();
+            let opts = ForwardOptions::training(lcg(st.step_seed)).with_candidate_reprs(false);
+            let outs: Vec<ForwardOutput> = model
+                .try_forward_batch(kb, &refs, &opts, &vec![Deadline::none(); refs.len()])
+                .into_iter()
+                .map(|r| r.expect("no deadline"))
+                .collect();
+            for _ in batch {
+                st.step_seed = lcg(st.step_seed);
+            }
             let mut batch_loss = 0.0f64;
-            let mut batch_n = 0usize;
-            for &i in batch {
-                st.step_seed = st
-                    .step_seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let out = model
-                    .run(kb, std::slice::from_ref(&examples[i]), ForwardOptions::training(st.step_seed))
-                    .expect("no deadline")
-                    .remove(0);
-                let Some(loss) = out.loss else { continue };
+            let mut losses: Vec<&Var> = Vec::with_capacity(outs.len());
+            let mut non_finite: Option<(usize, f32)> = None;
+            for (b, out) in outs.iter().enumerate() {
+                let Some(loss) = &out.loss else { continue };
                 let lv = loss.value().item();
-                if !lv.is_finite() {
-                    continue; // skip pathological examples defensively
+                if !lv.is_finite() && non_finite.is_none() {
+                    non_finite = Some((b, lv));
                 }
                 batch_loss += lv as f64;
-                batch_n += 1;
-                out.graph.backward(&loss, &mut model.params);
+                losses.push(loss);
             }
+            let batch_n = losses.len();
             st.next_batch = bi as u64 + 1;
             if batch_n == 0 {
                 continue;
+            }
+            // A non-finite example poisons the whole batch: its NaN
+            // activations reach every shared weight gradient of the tall
+            // graph, so the batch skips its update (anomaly guard below)
+            // instead of running backward.
+            if non_finite.is_none() {
+                let total = losses[1..].iter().fold(losses[0].clone(), |acc, l| acc.add(l));
+                outs[0].graph.backward(&total, &mut model.params);
             }
             let mut batch_mean = batch_loss / batch_n as f64;
             if faults.nan_loss_at(st.attempt) {
@@ -520,7 +537,12 @@ pub fn train_resumable(
             }
 
             // Anomaly guards: skip the update rather than poison the model.
-            let anomaly = if !batch_mean.is_finite() {
+            let anomaly = if let Some((b, lv)) = non_finite {
+                Some((
+                    RecoveryKind::NonFiniteLoss,
+                    format!("example {b} of {batch_n} has loss {lv}"),
+                ))
+            } else if !batch_mean.is_finite() {
                 Some((RecoveryKind::NonFiniteLoss, format!("batch loss {batch_mean}")))
             } else if st.warmup_seen >= guard.warmup_steps
                 && st.ema > 0.0
@@ -657,6 +679,36 @@ mod tests {
         let last = *report.epoch_losses.last().expect("epochs ran");
         assert!(last < first, "loss should fall: {:?}", report.epoch_losses);
         assert_eq!(report.skipped_updates(), 0, "healthy run must not trip guards");
+    }
+
+    #[test]
+    fn training_is_bit_identical_across_pool_sizes() {
+        // Tall minibatch matrices cross the kernels' parallel cutoffs; the
+        // pool splits output rows only, so the thread count never changes
+        // a sum.
+        let kb = gen_kb(&KbConfig { n_entities: 200, seed: 54, ..KbConfig::default() });
+        let c = generate_corpus(
+            &kb,
+            &CorpusConfig { n_pages: 40, seed: 54, ..CorpusConfig::default() },
+        );
+        let counts = bootleg_corpus::stats::entity_counts(&c.train, true);
+        let trained = |threads: usize| {
+            let pool = bootleg_pool::ThreadPool::new(threads);
+            bootleg_pool::with_pool(&pool, || {
+                let mut model = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default());
+                let report = train(
+                    &mut model,
+                    &kb,
+                    &c.train,
+                    &TrainConfig { epochs: 1, ..TrainConfig::default() },
+                );
+                assert!(report.steps > 2);
+                bootleg_tensor::checkpoint::encode_param_store(&model.params)
+            })
+        };
+        let serial = trained(1);
+        assert!(serial == trained(2), "2 threads changed the trained parameters");
+        assert!(serial == trained(8), "8 threads changed the trained parameters");
     }
 
     #[test]

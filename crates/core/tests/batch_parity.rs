@@ -4,13 +4,17 @@
 //! of running each one alone — scores, predictions, mention
 //! representations, candidate representations and losses — for every batch
 //! size, every model variant, arbitrarily ragged example mixes, and with
-//! per-example deadline eviction. (What a single example produces is pinned
-//! separately, by the committed oracle in the workspace's
-//! `tests/forward_oracle.rs`.) Comparisons use `f32::to_bits` so
-//! `-0.0`/`0.0` and NaN discrepancies cannot hide behind `==`.
+//! per-example deadline eviction. In training mode a pass over N examples
+//! with seed `s` must equal example `b` run alone with seed `seed_b` of the
+//! `lcg` chain, bit for bit on loss and scores, and one backward over the
+//! tall graph must match the summed per-example gradients up to summation
+//! order. (What a single example produces is pinned separately, by the
+//! committed oracle in the workspace's `tests/forward_oracle.rs`.)
+//! Comparisons use `f32::to_bits` so `-0.0`/`0.0` and NaN discrepancies
+//! cannot hide behind `==`.
 
 use bootleg_core::{
-    BootlegConfig, BootlegModel, Deadline, ExMention, Example, ForwardOptions, ForwardOutput,
+    lcg, BootlegConfig, BootlegModel, Deadline, ExMention, Example, ForwardOptions, ForwardOutput,
     ModelVariant, ValidationLimits,
 };
 use bootleg_corpus::{generate_corpus, Corpus, CorpusConfig};
@@ -69,6 +73,145 @@ fn assert_parity(kb: &KnowledgeBase, m: &BootlegModel, examples: &[Example], opt
             }
             _ => panic!("loss presence diverges"),
         }
+    }
+}
+
+/// Asserts a training pass over `examples` with `seed` gives example `b`
+/// the loss and scores of running it alone with seed `seed_b`.
+fn assert_training_parity(kb: &KnowledgeBase, m: &BootlegModel, examples: &[Example], seed: u64) {
+    let batched = m.run(kb, examples, ForwardOptions::training(seed)).expect("no deadline");
+    let mut seed_b = seed;
+    for (ex, b) in examples.iter().zip(&batched) {
+        let s = alone(kb, m, ex, ForwardOptions::training(seed_b));
+        assert_eq!(bits2(&s.scores), bits2(&b.scores), "training scores diverge");
+        let (ls, lb) = (s.loss.expect("supervised"), b.loss.as_ref().expect("supervised"));
+        assert_eq!(ls.value().item().to_bits(), lb.value().item().to_bits(), "loss diverges");
+        seed_b = lcg(seed_b);
+    }
+}
+
+fn training_examples(c: &Corpus, n: usize) -> Vec<Example> {
+    c.dev.iter().chain(&c.test).chain(&c.train).filter_map(Example::training).take(n).collect()
+}
+
+/// A ragged mix like the inference sweep's below, but supervised: every
+/// mention carries a random gold index.
+fn random_supervised_pool(m: &BootlegModel, vocab_size: usize, seed: u64) -> Vec<Example> {
+    let mut rng = StdRng::seed_from_u64(0x7a11 ^ seed);
+    let max_tokens = m.config.word_encoder.max_len;
+    (0..16)
+        .map(|_| {
+            let n_tokens = rng.gen_range(2..=max_tokens);
+            let tokens: Vec<u32> =
+                (0..n_tokens).map(|_| rng.gen_range(0..vocab_size as u32)).collect();
+            let mentions = (0..rng.gen_range(1..=4usize))
+                .map(|_| {
+                    let first = rng.gen_range(0..n_tokens);
+                    let last = (first + rng.gen_range(0..3)).min(n_tokens - 1);
+                    let k = rng.gen_range(1..=5usize);
+                    let candidates: Vec<EntityId> =
+                        (0..k).map(|_| EntityId(rng.gen_range(0..m.n_entities as u32))).collect();
+                    ExMention { first, last, candidates, gold: Some(rng.gen_range(0..k) as u32) }
+                })
+                .collect();
+            Example::inference(tokens, mentions)
+        })
+        .collect()
+}
+
+#[test]
+fn training_batches_match_single_runs_with_keyed_seeds() {
+    let (kb, c, m) = setup();
+    let pool = training_examples(&c, 16);
+    assert_eq!(pool.len(), 16, "corpus too small for the batch-size sweep");
+    for &n in &[2usize, 7, 16] {
+        assert_training_parity(&kb, &m, &pool[..n], 0x5eed + n as u64);
+    }
+    // An example's masks do not depend on its position's neighbours: the
+    // tail of the pool, run as its own batch, keys off the same chain.
+    let mut seed_7 = 99;
+    for _ in 0..7 {
+        seed_7 = lcg(seed_7);
+    }
+    let whole = m.run(&kb, &pool, ForwardOptions::training(99)).expect("no deadline");
+    let tail = m.run(&kb, &pool[7..], ForwardOptions::training(seed_7)).expect("no deadline");
+    for (a, b) in whole[7..].iter().zip(&tail) {
+        assert_eq!(bits2(&a.scores), bits2(&b.scores), "masks depend on batch composition");
+    }
+}
+
+#[test]
+fn training_ragged_batches_match_single_runs_with_keyed_seeds() {
+    let (kb, c, m) = setup();
+    let counts = bootleg_corpus::stats::entity_counts(&c.train, true);
+    let mut bench = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default().benchmark());
+    bench.set_cooccurrence(bootleg_core::cooccur::CooccurrenceIndex::build(&c.train, 2));
+    for seed in 0..3u64 {
+        let pool = random_supervised_pool(&m, c.vocab.len(), seed);
+        for &n in &[2usize, 7, 16] {
+            assert_training_parity(&kb, &m, &pool[..n], seed);
+        }
+        assert_training_parity(&kb, &bench, &pool[..7], seed);
+    }
+}
+
+/// Tolerance of the tall step's gradients against the summed per-example
+/// gradients, per parameter: the largest elementwise difference may be at
+/// most `GRAD_REL_BOUND` times the parameter's largest reference gradient,
+/// plus `GRAD_ABS_FLOOR` for parameters whose exact gradient is zero (a
+/// LayerNorm shift feeding only per-mention softmaxes) and which therefore
+/// hold pure rounding noise. Only the summation order differs between the
+/// two, so these bounds are never to be widened.
+const GRAD_REL_BOUND: f32 = 1e-5;
+const GRAD_ABS_FLOOR: f32 = 1e-6;
+
+#[test]
+fn tall_backward_matches_summed_per_example_gradients() {
+    let (kb, c, _) = setup();
+    let counts = bootleg_corpus::stats::entity_counts(&c.train, true);
+    let pool = training_examples(&c, 16);
+    for v in [ModelVariant::Full, ModelVariant::EntOnly, ModelVariant::TypeOnly, ModelVariant::KgOnly]
+    {
+        let mut m =
+            BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default().with_variant(v));
+        assert_tall_gradients_match(&kb, &mut m, &pool, 4242);
+    }
+    let mut bench = BootlegModel::new(&kb, &c.vocab, &counts, BootlegConfig::default().benchmark());
+    bench.set_cooccurrence(bootleg_core::cooccur::CooccurrenceIndex::build(&c.train, 2));
+    assert_tall_gradients_match(&kb, &mut bench, &pool, 4242);
+}
+
+fn assert_tall_gradients_match(
+    kb: &KnowledgeBase,
+    m: &mut BootlegModel,
+    pool: &[Example],
+    seed: u64,
+) {
+    // Reference: one graph and one backward per example, accumulating.
+    let mut seed_b = seed;
+    for ex in pool {
+        let out = alone(kb, m, ex, ForwardOptions::training(seed_b));
+        out.graph.backward(&out.loss.expect("supervised"), &mut m.params);
+        seed_b = lcg(seed_b);
+    }
+    let reference: Vec<Vec<f32>> = m.params.iter().map(|(_, p)| p.grad.data().to_vec()).collect();
+    m.params.zero_grad();
+
+    // The training step: one tall graph, the summed loss, one backward.
+    let outs = m.run(kb, pool, ForwardOptions::training(seed)).expect("no deadline");
+    let losses: Vec<_> = outs.iter().map(|o| o.loss.clone().expect("supervised")).collect();
+    let total = losses[1..].iter().fold(losses[0].clone(), |acc, l| acc.add(l));
+    outs[0].graph.backward(&total, &mut m.params);
+
+    for ((_, p), want) in m.params.iter().zip(&reference) {
+        let scale = want.iter().fold(0.0f32, |a, v| a.max(v.abs()));
+        assert!(p.grad.data().iter().all(|v| v.is_finite()), "param {} gradient", p.name);
+        let diff = p.grad.data().iter().zip(want).fold(0.0f32, |a, (x, y)| a.max((x - y).abs()));
+        assert!(
+            diff <= GRAD_REL_BOUND * scale + GRAD_ABS_FLOOR,
+            "param {}: gradient differs by {diff:e} at scale {scale:e}",
+            p.name
+        );
     }
 }
 

@@ -5,11 +5,12 @@
 
 use bootleg_core::fault::{CorruptionMode, Fault, FaultPlan};
 use bootleg_core::{
-    train_resumable, BootlegConfig, BootlegModel, CheckpointConfig, RecoveryKind, TrainConfig,
-    TrainStatus,
+    train_resumable, BootlegConfig, BootlegModel, CheckpointConfig, Example, RecoveryKind,
+    TrainConfig, TrainStatus,
 };
 use bootleg_corpus::{generate_corpus, Corpus, CorpusConfig};
 use bootleg_kb::{generate as gen_kb, KbConfig, KnowledgeBase};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
 fn setup() -> (KnowledgeBase, Corpus) {
@@ -157,6 +158,74 @@ fn nan_loss_and_exploding_grad_are_skipped_and_reported() {
     }
     let last = *out.report.epoch_losses.last().expect("epochs ran");
     assert!(last.is_finite() && last < out.report.epoch_losses[0] * 1.5);
+}
+
+/// One example's forward pass turns NaN (its only-used entity row is
+/// poisoned): in a tall minibatch graph its NaN activations would reach
+/// every shared weight gradient, so the whole batch must skip its update
+/// and report it, and the rest of the model must stay finite.
+#[test]
+fn non_finite_example_loss_skips_its_batch() {
+    let (kb, c) = setup();
+    let cfg = config();
+    let examples: Vec<Example> = c.train.iter().filter_map(Example::training).collect();
+    let mut users: HashMap<u32, HashSet<usize>> = HashMap::new();
+    for (i, ex) in examples.iter().enumerate() {
+        for m in &ex.mentions {
+            for e in &m.candidates {
+                users.entry(e.0).or_default().insert(i);
+            }
+        }
+    }
+    let poisoned = users
+        .iter()
+        .filter(|(_, exs)| exs.len() == 1)
+        .map(|(&e, _)| e)
+        .min()
+        .expect("some entity is a candidate of exactly one example");
+
+    let clean = {
+        let mut m = fresh_model(&kb, &c);
+        train_resumable(&mut m, &kb, &c.train, &cfg, None, &FaultPlan::none()).expect("clean")
+    };
+    let mut m = fresh_model(&kb, &c);
+    entity_table_mut(&mut m).data.row_mut(poisoned as usize).fill(f32::NAN);
+    let out =
+        train_resumable(&mut m, &kb, &c.train, &cfg, None, &FaultPlan::none()).expect("guarded");
+    assert_eq!(out.status, TrainStatus::Completed);
+
+    // The poisoned example sits in one batch per epoch.
+    let skips: Vec<_> = out
+        .report
+        .recovery_events
+        .iter()
+        .filter(|e| e.kind == RecoveryKind::NonFiniteLoss)
+        .collect();
+    assert_eq!(skips.len(), cfg.epochs, "one skipped batch per epoch: {skips:?}");
+    assert!(skips.iter().all(|e| e.detail.contains("example")), "{skips:?}");
+    assert_eq!(out.report.skipped_updates(), cfg.epochs);
+    assert_eq!(out.report.steps, clean.report.steps - cfg.epochs as u64);
+    for (_, p) in m.params.iter() {
+        let width = p.data.shape().last().copied().unwrap_or(1);
+        for (r, row) in p.data.data().chunks(width).enumerate() {
+            let is_poisoned_row = p.name == "embedding.entity" && r == poisoned as usize;
+            assert!(
+                is_poisoned_row || row.iter().all(|v| v.is_finite()),
+                "param {} row {r} went non-finite",
+                p.name
+            );
+        }
+    }
+}
+
+fn entity_table_mut(m: &mut BootlegModel) -> &mut bootleg_tensor::Param {
+    let id = m
+        .params
+        .iter()
+        .find(|(_, p)| p.name == "embedding.entity")
+        .map(|(id, _)| id)
+        .expect("entity table");
+    m.params.get_mut(id)
 }
 
 #[test]

@@ -68,10 +68,11 @@ impl MhaBlock {
     /// rows are stacked, and the per-sequence core replays the same op
     /// sequence on bitwise-equal inputs.
     ///
-    /// In a training-mode graph the three dropouts draw from the graph's RNG
-    /// in a fixed order — attention weights (per sequence), output head,
-    /// FFN — which is part of the training numerics pinned by the forward
-    /// oracle (`tests/forward_oracle.rs`).
+    /// In a training-mode graph sequence `i` draws every dropout mask from
+    /// the graph's RNG stream `i`, in a fixed order — its attention weights,
+    /// its output-head rows, its FFN rows — so its masks are the ones it
+    /// would draw alone. That order is part of the training numerics pinned
+    /// by the forward oracle (`tests/forward_oracle.rs`).
     pub fn forward_ragged(
         &self,
         g: &Graph,
@@ -95,7 +96,7 @@ impl MhaBlock {
         let _sc = bootleg_obs::span!("mha_cores");
         let scale = 1.0 / (self.d_head as f32).sqrt();
         let mut ctx_parts: Vec<Var> = Vec::with_capacity(q_spans.len());
-        for (&(qs, ql), &(ks, kl)) in q_spans.iter().zip(kv_spans) {
+        for (i, (&(qs, ql), &(ks, kl))) in q_spans.iter().zip(kv_spans).enumerate() {
             let q_rows: Vec<u32> = (qs..qs + ql).map(|r| r as u32).collect();
             let kv_rows: Vec<u32> = (ks..ks + kl).map(|r| r as u32).collect();
             let q = q_full
@@ -114,7 +115,7 @@ impl MhaBlock {
                 .batch_matmul(&k.transpose_last2())
                 .scale(scale)
                 .softmax_last()
-                .dropout(self.dropout);
+                .dropout_from(self.dropout, i);
             ctx_parts.push(attn.batch_matmul(&v).swap_axes01().reshape(&[ql, d]));
         }
         drop(_sc);
@@ -122,11 +123,14 @@ impl MhaBlock {
         let refs: Vec<&Var> = ctx_parts.iter().collect();
         let merged = g.concat_rows(&refs);
 
-        let out = self.wo.forward(g, ps, &merged).dropout(self.dropout);
+        let out = self.wo.forward(g, ps, &merged).dropout_spans(self.dropout, q_spans);
 
         // Residual + LN, then FFN residual + LN.
         let h = self.ln1.forward(g, ps, &x.add(&out));
-        let f = self.ffn2.forward(g, ps, &self.ffn1.forward(g, ps, &h).gelu()).dropout(self.dropout);
+        let f = self
+            .ffn2
+            .forward(g, ps, &self.ffn1.forward(g, ps, &h).gelu())
+            .dropout_spans(self.dropout, q_spans);
         self.ln2.forward(g, ps, &h.add(&f))
     }
 }

@@ -80,9 +80,24 @@ impl Mlp {
         }
     }
 
-    /// Applies the MLP to `x` of shape `(…, d_in)`.
+    /// Applies the MLP to `x` of shape `(…, d_in)`; dropout draws from the
+    /// graph's RNG stream 0.
     pub fn forward(&self, g: &Graph, ps: &ParamStore, x: &Var) -> Var {
         let h = self.fc1.forward(g, ps, x).gelu().dropout(self.dropout);
+        self.fc2.forward(g, ps, &h)
+    }
+
+    /// Applies the MLP to the row-stacked `(Σrows, d_in)` matrix of several
+    /// examples: row span `i` draws its dropout mask from RNG stream `i`
+    /// (see [`Var::dropout_spans`]).
+    pub fn forward_ragged(
+        &self,
+        g: &Graph,
+        ps: &ParamStore,
+        x: &Var,
+        spans: &[(usize, usize)],
+    ) -> Var {
+        let h = self.fc1.forward(g, ps, x).gelu().dropout_spans(self.dropout, spans);
         self.fc2.forward(g, ps, &h)
     }
 }

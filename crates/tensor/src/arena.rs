@@ -1,23 +1,28 @@
-//! Size-bucketed buffer arena: a thread-local free-list of recycled
-//! `Vec<f32>` buffers keyed by exact length.
+//! Size-class buffer arena: a thread-local free-list of recycled `Vec<f32>`
+//! buffers keyed by capacity class.
 //!
-//! The forward/backward pass over a sentence allocates (and zeroes) dozens of
-//! intermediate buffers whose sizes repeat from sentence to sentence — the
-//! activation of a given layer always has the same shape. Instead of hitting
-//! the system allocator per op, [`take`] hands back a previously [`release`]d
-//! buffer of the exact requested length when one is available, and the
-//! autograd tape releases every node buffer when a graph is dropped, so
-//! steady-state training and eval loops run with near-zero tensor
-//! allocations.
+//! The forward/backward pass over a batch allocates (and zeroes) dozens of
+//! intermediate buffers whose sizes recur from batch to batch. Instead of
+//! hitting the system allocator per op, [`take`] hands back a previously
+//! [`release`]d buffer from the size class of the requested length when one
+//! is available, and the autograd tape releases every node buffer when a
+//! graph is dropped, so steady-state training and eval loops run with
+//! near-zero tensor allocations.
 //!
 //! Design notes:
 //!
 //! * **Thread-local, lock-free.** Each thread (including long-lived pool
 //!   workers) owns its own free-list; there is no cross-thread transfer and
 //!   therefore no synchronization on the hot path.
-//! * **Exact-length buckets.** Keys are `Vec::len()`, not capacity classes.
-//!   Model shapes are drawn from a small fixed set, so exact matching gets
-//!   ~100% hit rates after one warm-up sentence without over-reserving.
+//! * **Capacity classes.** Lengths up to 8 are their own class; above that
+//!   classes step by quarter octaves (…, 16, 20, 24, 28, 32, 40, …), so a
+//!   pooled buffer over-reserves at most 25% of the length it serves.
+//!   [`take`] pops a buffer from the class of the requested length (whose
+//!   capacity covers it) and sets its length; [`release`] files a buffer
+//!   under the largest class its capacity covers. Exact-length keys fail
+//!   under ragged batches: a tall training graph stacks a different number
+//!   of rows on nearly every step, so almost every length is new, and the
+//!   pool fills to its byte cap with buffers it never reuses.
 //! * **Numerics-neutral.** Recycled buffers hold stale values; [`take`] is
 //!   for sites that fully overwrite, [`take_zeroed`] for sites that
 //!   accumulate. Whether a buffer came from the arena or the allocator never
@@ -42,15 +47,18 @@ use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Max recycled buffers kept per exact-length bucket. An autograd tape holds
+/// Max recycled buffers kept per size class. An autograd tape holds
 /// every intermediate of a sentence simultaneously, so one graph can release
 /// well over a hundred buffers of the same activation shape at drop time;
 /// the cap must absorb that burst or the overflow is dropped and re-missed
 /// on the next sentence.
 const MAX_PER_BUCKET: usize = 256;
 
-/// Max total bytes of recycled buffers kept per thread.
+/// Max total bytes (of capacity) of recycled buffers kept per thread.
 const MAX_THREAD_BYTES: usize = 64 << 20;
+
+/// Lengths up to this are their own size class.
+const EXACT_CLASS_MAX: usize = 8;
 
 /// Buffers below this length aren't worth recycling. Only zero-length
 /// buffers are exempt (they never touch the allocator): per-mention scalar
@@ -66,6 +74,7 @@ thread_local! {
 }
 
 struct FreeList {
+    /// Free buffers by size class; every buffer's capacity covers its class.
     buckets: HashMap<usize, Vec<Vec<f32>>>,
     held_bytes: usize,
     env_enabled: bool,
@@ -76,6 +85,31 @@ impl FreeList {
         let env_enabled = std::env::var("BOOTLEG_ARENA").map_or(true, |v| v != "0");
         Self { buckets: HashMap::new(), held_bytes: 0, env_enabled }
     }
+}
+
+/// Size `2^o` splits the next octave into four classes of step `2^(o-2)`.
+fn class_step(octave: u32) -> usize {
+    1 << (octave - 2)
+}
+
+/// The smallest class that holds `len` elements: the capacity a fresh
+/// buffer for `len` gets, and the class [`take`] pops from.
+fn class_ceil(len: usize) -> usize {
+    if len <= EXACT_CLASS_MAX {
+        return len;
+    }
+    let octave = usize::BITS - 1 - (len - 1).leading_zeros();
+    len.next_multiple_of(class_step(octave))
+}
+
+/// The largest class a buffer of capacity `cap` covers: where [`release`]
+/// files it.
+fn class_floor(cap: usize) -> usize {
+    if cap <= EXACT_CLASS_MAX {
+        return cap;
+    }
+    let octave = usize::BITS - 1 - cap.leading_zeros();
+    cap - cap % class_step(octave)
 }
 
 /// Globally enables or disables recycling at runtime (overridden off by
@@ -96,19 +130,26 @@ pub fn enabled() -> bool {
 /// otherwise.
 pub fn take(len: usize) -> Vec<f32> {
     if enabled() && len >= MIN_RECYCLE_LEN {
+        let class = class_ceil(len);
         let hit = FREE.with(|f| {
             let mut f = f.borrow_mut();
-            let v = f.buckets.get_mut(&len).and_then(Vec::pop);
+            let v = f.buckets.get_mut(&class).and_then(Vec::pop);
             if let Some(ref buf) = v {
-                f.held_bytes -= buf.len() * std::mem::size_of::<f32>();
+                f.held_bytes -= buf.capacity() * std::mem::size_of::<f32>();
             }
             v
         });
-        if let Some(buf) = hit {
+        if let Some(mut buf) = hit {
             counter!("arena.hit").inc();
-            debug_assert_eq!(buf.len(), len);
+            buf.resize(len, 0.0);
             return buf;
         }
+        counter!("arena.miss").inc();
+        // Reserve the whole class so the buffer is reusable for every
+        // length of the class once released.
+        let mut buf = Vec::with_capacity(class);
+        buf.resize(len, 0.0);
+        return buf;
     }
     counter!("arena.miss").inc();
     vec![0.0; len]
@@ -126,9 +167,9 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
 /// hit.
 pub fn release(buf: Vec<f32>) {
     counter!("arena.release").inc();
-    let len = buf.len();
-    let bytes = len * std::mem::size_of::<f32>();
-    if !enabled() || len < MIN_RECYCLE_LEN {
+    let cap = buf.capacity();
+    let bytes = cap * std::mem::size_of::<f32>();
+    if !enabled() || cap < MIN_RECYCLE_LEN {
         counter!("arena.drop").inc();
         return;
     }
@@ -138,7 +179,7 @@ pub fn release(buf: Vec<f32>) {
             counter!("arena.drop").inc();
             return;
         }
-        let bucket = f.buckets.entry(len).or_default();
+        let bucket = f.buckets.entry(class_floor(cap)).or_default();
         if bucket.len() >= MAX_PER_BUCKET {
             counter!("arena.drop").inc();
             return;
@@ -202,7 +243,7 @@ pub fn clear_thread() {
     });
 }
 
-/// Bytes currently pooled on this thread.
+/// Bytes currently pooled on this thread, counted by buffer capacity.
 pub fn thread_held_bytes() -> usize {
     FREE.with(|f| f.borrow().held_bytes)
 }
@@ -255,6 +296,63 @@ mod tests {
             assert_eq!(b.len(), 128);
             assert!(b.iter().all(|&x| x == 0.0), "fresh buffer must be zeroed");
         });
+    }
+
+    #[test]
+    fn shorter_request_in_same_class_reuses_buffer() {
+        if pooling_disabled_by_env() {
+            return;
+        }
+        on_own_thread(|| {
+            clear_thread();
+            let a = take(80);
+            assert_eq!(a.capacity(), 80);
+            let ptr = a.as_ptr();
+            release(a);
+            // 65..=80 share the class of 80.
+            let b = take(70);
+            assert_eq!(b.as_ptr(), ptr, "a shorter length of the same class must hit");
+            assert_eq!(b.len(), 70);
+            release(b);
+            let c = take(81);
+            assert_ne!(c.as_ptr(), ptr, "the next class up must miss");
+            assert_eq!(c.len(), 81);
+        });
+    }
+
+    #[test]
+    fn held_bytes_count_capacity() {
+        if pooling_disabled_by_env() {
+            return;
+        }
+        on_own_thread(|| {
+            clear_thread();
+            let mut v = Vec::with_capacity(100);
+            v.resize(10, 1.0f32);
+            release(v);
+            assert_eq!(thread_held_bytes(), 100 * std::mem::size_of::<f32>());
+            // Capacity 100 is filed under class 96, which it fully covers.
+            let b = take(96);
+            assert_eq!(b.len(), 96);
+            assert_eq!(b.capacity(), 100);
+            assert_eq!(thread_held_bytes(), 0);
+        });
+    }
+
+    #[test]
+    fn class_slack_is_at_most_a_quarter() {
+        for len in 1..20_000usize {
+            let c = class_ceil(len);
+            assert!(c >= len, "class {c} cannot hold {len}");
+            assert!(4 * (c - len) <= len, "class {c} over-reserves {len} by more than 25%");
+            assert_eq!(class_floor(c), c, "class sizes are fixed points");
+            let f = class_floor(len);
+            assert!(f <= len && class_ceil(f) == f, "floor {f} of {len} is not a class");
+            assert!(len < EXACT_CLASS_MAX || 4 * (len - f) < len, "floor {f} wastes {len}");
+        }
+        let mut classes: Vec<usize> = (1..=40).map(class_ceil).collect();
+        classes.dedup();
+        assert_eq!(classes, [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40]);
     }
 
     #[test]

@@ -79,7 +79,9 @@ pub(crate) struct Node {
 pub(crate) struct Inner {
     pub nodes: Vec<Node>,
     pub training: bool,
-    pub rng: StdRng,
+    /// Dropout RNG streams, one per example of a ragged pass (see
+    /// [`Graph::with_streams`]).
+    pub streams: Vec<StdRng>,
 }
 
 impl Drop for Inner {
@@ -119,13 +121,21 @@ impl Graph {
         Self::with_mode(false, 0)
     }
 
-    /// New graph; `training` enables dropout/2-D masking, `seed` drives them.
+    /// New graph; `training` enables dropout/2-D masking, `seed` drives them
+    /// (one RNG stream, stream 0).
     pub fn with_mode(training: bool, seed: u64) -> Self {
+        Self::with_streams(training, &[seed])
+    }
+
+    /// New graph with one dropout RNG stream per seed. A ragged pass over
+    /// several examples gives example `i` stream `i`, so the masks an example
+    /// draws do not depend on which other examples share its tape.
+    pub fn with_streams(training: bool, seeds: &[u64]) -> Self {
         Graph {
             inner: Rc::new(RefCell::new(Inner {
                 nodes: Vec::with_capacity(256),
                 training,
-                rng: StdRng::seed_from_u64(seed),
+                streams: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             })),
         }
     }

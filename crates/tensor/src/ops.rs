@@ -485,22 +485,64 @@ impl Var {
         self.graph.push(out, Op::Maximum(self.id, other.id))
     }
 
-    /// Inverted dropout. Inactive (inference-mode graph, or `p <= 0`) it
-    /// returns `self`: no copy, no tape node.
+    /// Inverted dropout drawing its whole mask from RNG stream 0. Inactive
+    /// (inference-mode graph, or `p <= 0`) it returns `self`: no copy, no
+    /// tape node.
     pub fn dropout(&self, p: f32) -> Var {
+        self.dropout_from(p, 0)
+    }
+
+    /// Inverted dropout drawing its whole mask from RNG stream `stream`.
+    pub fn dropout_from(&self, p: f32, stream: usize) -> Var {
         if p <= 0.0 || !self.graph.training() {
             return self.clone();
         }
+        let numel = self.shape().numel();
+        self.dropout_streams(p, &[(stream, numel)])
+    }
+
+    /// Inverted dropout over a row-stacked matrix: row span `i` (a
+    /// `(start, len)` range of the rank-2 view's rows) draws its mask from
+    /// RNG stream `i`. The spans must tile the rows in order, which is how
+    /// the ragged engine lays examples out.
+    pub fn dropout_spans(&self, p: f32, spans: &[(usize, usize)]) -> Var {
+        if p <= 0.0 || !self.graph.training() {
+            return self.clone();
+        }
+        let (rows, cols) = shape::rows_cols(&self.shape());
+        let mut next = 0;
+        let segments: Vec<(usize, usize)> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, len))| {
+                assert_eq!(start, next, "dropout spans must tile the rows in order");
+                next += len;
+                (i, len * cols)
+            })
+            .collect();
+        assert_eq!(next, rows, "dropout spans must cover every row");
+        self.dropout_streams(p, &segments)
+    }
+
+    /// The active dropout body: consecutive `(stream, elements)` segments of
+    /// the flattened tensor, each drawing its mask from its stream in order.
+    fn dropout_streams(&self, p: f32, segments: &[(usize, usize)]) -> Var {
         let keep = 1.0 - p;
         let (out, mask) = {
             let mut inner = self.graph.inner.borrow_mut();
             let inner = &mut *inner;
             let x = &inner.nodes[self.id].value;
-            let rng = &mut inner.rng;
             let mut mask = arena::take(x.numel());
-            for mv in mask.iter_mut() {
-                *mv = if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 };
+            let mut chunks = mask.as_mut_slice();
+            for &(stream, len) in segments {
+                let rng = inner.streams.get_mut(stream).expect("dropout stream out of range");
+                let (seg, rest) = chunks.split_at_mut(len);
+                for mv in seg.iter_mut() {
+                    *mv = if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 };
+                }
+                chunks = rest;
             }
+            debug_assert!(chunks.is_empty(), "dropout segments must cover the tensor");
             let mut data = arena::take(x.numel());
             for ((o, &v), &mv) in data.iter_mut().zip(x.data()).zip(mask.iter()) {
                 *o = v * mv;
