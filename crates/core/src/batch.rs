@@ -19,9 +19,11 @@
 //! bag) because additive-attention pooling dominates the embed phase. Pads
 //! sit after the real entries and are erased by a `-inf` additive mask
 //! before the softmax: `exp(-inf) = +0.0` exactly, appending `+0.0` to a
-//! left-to-right sum changes nothing, and the matmul kernels skip
-//! exact-zero weights — so pooled rows are bit-identical to the unpadded
-//! path (see [`bootleg_nn::AddAttn::pool_ragged`]).
+//! left-to-right sum changes nothing, and in the weighted sum each pad
+//! appends a `±0` product (weight `+0.0` times a finite pad row, a copy of
+//! the bag's last real row) to a fused chain whose accumulator is nonzero or
+//! `+0.0`, which leaves it unchanged — so pooled rows are bit-identical to
+//! the unpadded path (see [`bootleg_nn::AddAttn::pool_ragged`]).
 //!
 //! # Deadlines
 //!

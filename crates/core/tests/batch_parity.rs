@@ -318,6 +318,53 @@ fn random_ragged_batches_match_single_runs_bitwise() {
     }
 }
 
+/// A NaN in the entity-embedding row of a candidate that only one example
+/// of a ragged inference batch uses poisons that example alone: every
+/// other example still equals its single run bit for bit. The matmul
+/// kernels do not skip `0 · NaN` terms, so this pins that no batched op
+/// (stacked row-wise matmuls, padded bag pooling, per-example attention)
+/// mixes rows across examples.
+#[test]
+fn nan_entity_row_stays_in_its_example() {
+    let (kb, c, mut m) = setup();
+    let examples = corpus_examples(&c, 8);
+    let users = |e: u32| {
+        examples
+            .iter()
+            .filter(|ex| ex.mentions.iter().any(|mn| mn.candidates.contains(&EntityId(e))))
+            .count()
+    };
+    let (poisoned_ex, poisoned) = examples
+        .iter()
+        .enumerate()
+        .skip(3)
+        .find_map(|(i, ex)| {
+            let mut cands = ex.mentions.iter().flat_map(|mn| mn.candidates.iter().map(|e| e.0));
+            cands.find(|&e| users(e) == 1).map(|e| (i, e))
+        })
+        .expect("some entity is a candidate of exactly one example");
+    let id = m
+        .params
+        .iter()
+        .find(|(_, p)| p.name == "embedding.entity")
+        .map(|(id, _)| id)
+        .expect("entity table");
+    m.params.get_mut(id).data.row_mut(poisoned as usize).fill(f32::NAN);
+
+    let batched = m.run(&kb, &examples, ForwardOptions::inference()).expect("no deadline");
+    for (i, (ex, b)) in examples.iter().zip(&batched).enumerate() {
+        if i == poisoned_ex {
+            let poisoned = b.scores.iter().flatten().any(|s| !s.is_finite());
+            assert!(poisoned, "the NaN row never reached its example");
+            continue;
+        }
+        let s = alone(&kb, &m, ex, ForwardOptions::inference());
+        assert_eq!(bits2(&s.scores), bits2(&b.scores), "example {i}: scores diverge");
+        assert!(b.scores.iter().flatten().all(|s| s.is_finite()), "example {i}: NaN leaked");
+        assert_eq!(s.predictions, b.predictions, "example {i}: predictions diverge");
+    }
+}
+
 #[test]
 fn empty_slice_returns_no_outputs() {
     let (kb, _, m) = setup();

@@ -168,13 +168,19 @@ impl AddAttn {
 
     /// Pools C padded bags at once: `bag` is `(C·t_max, d_in)` where bag `c`
     /// occupies rows `c·t_max .. (c+1)·t_max` with its `lens[c]` real rows
-    /// first and arbitrary padding rows after them. Returns `(C, d_in)`.
+    /// first and finite padding rows after them. Returns `(C, d_in)`.
     ///
     /// Padding rows are neutralized with a `-inf` additive mask before the
-    /// softmax: `exp(-inf) = +0.0` exactly, the pads sit *after* the real
-    /// entries so the softmax's left-to-right sum is unchanged, and the
-    /// matmul kernels skip exact-zero weights, so row `c` of the result is
-    /// bit-identical to [`AddAttn::forward`] on the unpadded bag.
+    /// softmax: `exp(-inf) = +0.0` exactly, and the pads sit *after* the
+    /// real entries, so the softmax's left-to-right sum is unchanged. In the
+    /// weighted sum each output element is one fused chain over the bag
+    /// rows, ascending; the pads append `fma(+0.0, v, acc)` terms at its
+    /// end. For a finite pad value `v` the product is `±0`, which leaves a
+    /// nonzero accumulator unchanged, and a zero accumulator is `+0.0` (a
+    /// chain started from a zeroed output cannot reach `-0.0`), which
+    /// `+0.0 + ±0` keeps. So row `c` of the result is bit-identical to
+    /// [`AddAttn::forward`] on the unpadded bag, provided the padding rows
+    /// are finite (callers pad with a copy of a real row).
     pub fn pool_ragged(
         &self,
         g: &Graph,
@@ -259,6 +265,43 @@ mod tests {
         let out = attn.forward(&g, &ps, &bag).value();
         for (o, e) in out.data().iter().zip(&[1.0, -2.0, 0.5, 3.0]) {
             assert!((o - e).abs() < 1e-5);
+        }
+    }
+
+    /// Padding a bag after its real rows (with copies of its last row, as
+    /// the ragged engine does) must not change a single bit of its pooled
+    /// row, for every pad width 0–8. The bags mix signs and exact zeros so
+    /// the pads' products include `-0.0`.
+    #[test]
+    fn pool_ragged_matches_forward_bitwise() {
+        let d = 6;
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let attn = AddAttn::new(&mut ps, &mut rng, "a", d, 5);
+        let mut bags: Vec<Tensor> =
+            [1, 3, 2, 5, 4].iter().map(|&t| init::normal(&mut rng, &[t, d], 1.0)).collect();
+        bags[1].row_mut(2)[..3].copy_from_slice(&[0.0, -0.0, -1.0]);
+        bags[3].row_mut(4).fill(-0.5);
+        let lens: Vec<usize> = bags.iter().map(|b| b.shape()[0]).collect();
+        let g = Graph::new();
+        let want: Vec<Tensor> =
+            bags.iter().map(|b| attn.forward(&g, &ps, &g.leaf(b.clone())).value()).collect();
+        let longest = *lens.iter().max().unwrap();
+        for pad in 0..=8 {
+            let t_max = longest + pad;
+            let mut rows = Vec::new();
+            for b in &bags {
+                let t = b.shape()[0];
+                rows.extend((0..t_max).map(|r| b.row(r.min(t - 1)).to_vec()));
+            }
+            let padded = g.leaf(Tensor::from_rows(&rows));
+            let got = attn.pool_ragged(&g, &ps, &padded, &lens, t_max).value();
+            for (c, w) in want.iter().enumerate() {
+                for (j, (x, y)) in got.row(c).iter().zip(w.data()).enumerate() {
+                    let at = format!("pad {pad}, bag {c}, coord {j}");
+                    assert_eq!(x.to_bits(), y.to_bits(), "{at}: {x} vs {y}");
+                }
+            }
         }
     }
 

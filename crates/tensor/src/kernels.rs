@@ -2,37 +2,45 @@
 //!
 //! All kernels operate on contiguous row-major buffers.
 //!
-//! ## Micro-kernel tiling
+//! ## One matmul micro-kernel
 //!
-//! The matmul family runs register-blocked micro-kernels: output tiles of
-//! [`MR`] rows × [`NR`] columns are loaded into stack arrays the compiler
-//! keeps in SIMD registers, the full k-extent is accumulated into them, and
-//! they are stored back once — so the innermost loop touches no `c` memory
-//! and reuses each loaded `b` row across `MR` output rows. The transposed
-//! backward matmuls additionally pack their strided operand into a
-//! contiguous arena-backed panel (`AᵀB` packs `MR` columns of `a`, `A·Bᵀ`
-//! packs [`BT_NR`] rows of `b` column-interleaved) so the inner loops stream
-//! unit-stride. The seed's i-k-j loops are kept as `matmul_*_naive`
-//! references for the equivalence tests and benchmarks. The largest win is
-//! `A·Bᵀ` (the dx backward): its naive form is one sequential dot-product
-//! chain per element, which cannot vectorize along k without reassociating,
-//! while the tile runs `MR`×`BT_NR` independent chains.
+//! Every matmul layout runs the same register-tiled kernel for
+//! `c += a·b` (`a` m×k, `b` k×n, all row-major). A tile holds up to [`MR`]
+//! output rows × a few SIMD vectors of output columns in registers: it
+//! loads the `c` tile once, streams k, broadcasting one `a` element per row
+//! against the tile's `b` vectors, and stores the tile once. The kernel
+//! reads `a` through a row and a column stride, so [`matmul_at_b_acc`]
+//! hands it `aᵀ` in place (its broadcasts walk along a row of the stored
+//! `a`), and [`matmul_a_bt_acc`] packs `bᵀ` into an arena buffer once per
+//! call, before any fan-out to the pool; both then run the same kernel.
 //!
-//! **Accumulation-order invariant:** every tiled kernel performs, per output
-//! element, exactly the floating-point operations of the naive loop in
-//! exactly the same order — k ascending, separate mul and add (Rust never
-//! contracts to FMA), and the same skip of `a`-operands that equal `0.0`
-//! (adding `+0.0` is *not* a bitwise no-op: it flips a `-0.0` accumulator).
-//! Tiling only changes *which registers* hold the partial sums, never the
-//! arithmetic, so naive, tiled, and pool-chunked results are bit-identical.
+//! The kernel is written once (the `fma_gemm!` macro) and instantiated
+//! three ways, picked by the `isa()` detected once per process: AVX-512F
+//! (16 lanes, masked column tails), AVX2 + FMA (8 lanes, masked column
+//! tails), and a portable fallback whose "lanes" are `f32::mul_add` calls.
 //!
-//! The zero-skip makes the inner loop branchy, which costs real throughput
-//! when `a` is dense; the skipping kernels therefore hoist one "does this
-//! `MR`-row panel of `a` contain any exact zero?" scan out of the tile loop
-//! (cost `1/(2n)` of the panel's flops) and run a fully branchless tile when
-//! it doesn't. Skipping only ever fires on zero operands, so taking the
-//! branchless path on a zero-free panel is arithmetic-identical, not just
-//! bit-identical by accident.
+//! **Accumulation-order invariant (the fused-chain contract):** every
+//! output element is one fused multiply-add chain,
+//!
+//! ```text
+//! acc = c[i][j];  for p in 0..k ascending { acc = fma(a[i][p], b[p][j], acc) }
+//! ```
+//!
+//! with one rounding per step and no skipped terms. SIMD lanes only ever
+//! hold different output columns and tiles only change which register
+//! holds an element's accumulator, never its chain, so every ISA path,
+//! every tile shape and every pool chunking produces the same bits as the
+//! naive fused loops (`matmul_*_naive`, the test oracles). An IEEE fused
+//! multiply-add is exactly rounded, so `f32::mul_add` and the vector FMA
+//! instructions agree bit for bit.
+//!
+//! Zero operands are not skipped. Adding a ±0 product leaves a nonzero
+//! accumulator unchanged, and an accumulator that starts at `+0.0` can
+//! never become `-0.0` (an exact zero sum rounds to `+0.0` unless both
+//! addends are `-0.0`), so appending zero-weight terms to a chain started
+//! from a zeroed output is a bitwise no-op as long as their other factor is
+//! finite. `0 · NaN` and `0 · ∞` are NaN: a non-finite value multiplied by
+//! a zero weight reaches the output.
 //!
 //! ## Data parallelism
 //!
@@ -53,21 +61,15 @@
 //! `pool.serial_fallback` accounts for those.
 
 use bootleg_obs::counter;
+use std::sync::OnceLock;
 
-/// Micro-kernel row blocking: output rows processed per register tile.
+/// Micro-kernel row blocking: output rows per register tile.
 pub const MR: usize = 4;
-/// Micro-kernel column blocking: output columns per register tile. With
-/// baseline SSE2 (16 × 128-bit registers) an `MR`×`NR` f32 tile occupies 8
-/// registers, leaving room for the `b` tile and the broadcast `a` operand.
-pub const NR: usize = 8;
 
 /// Minimum multiply-accumulate count before a matmul fans out to the pool.
 pub const PAR_MATMUL_FLOPS: usize = 64 * 1024;
 /// Target multiply-accumulate count per parallel matmul chunk. Sized so a
-/// chunk outlives the pool's enqueue/steal overhead by a comfortable margin:
-/// the tiled micro-kernel retires elements several times faster than the old
-/// naive loop did, so chunks carry 4× the flops they did when this constant
-/// was introduced (16 KiFLOP chunks left workers idling on the queue).
+/// chunk outlives the pool's enqueue/steal overhead by a comfortable margin.
 const PAR_MATMUL_CHUNK_FLOPS: usize = 64 * 1024;
 /// Minimum element count before row-wise kernels (softmax, layer norm,
 /// gather) fan out to the pool.
@@ -129,237 +131,72 @@ fn obs_layer_norm(rows: usize, par: bool) {
     }
 }
 
-/// `c += a (m×k) * b (k×n)`; `c` is m×n and must be pre-zeroed by the caller
-/// if plain assignment is wanted.
+/// The instruction set the vector kernels run on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) enum Isa {
+    /// Scalar code; the matmul kernel's lanes are `f32::mul_add` calls.
+    Portable,
+    /// AVX2 + FMA, 8 lanes.
+    Avx2,
+    /// AVX-512F, 16 lanes (AVX2 + FMA for the elementwise kernels).
+    Avx512,
+}
+
+/// The best [`Isa`] this host supports, detected once per process.
+pub(crate) fn isa() -> Isa {
+    static ISA: OnceLock<Isa> = OnceLock::new();
+    *ISA.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 =
+                std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
+            if avx2 && std::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
+            if avx2 {
+                return Isa::Avx2;
+            }
+        }
+        Isa::Portable
+    })
+}
+
+/// `c += a (m×k) · b (k×n)`; `c` is m×n and must be pre-zeroed by the caller
+/// if plain assignment is wanted. Fans out over output rows above the cutoff.
 pub fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     let par = m >= 2 && m * k * n >= PAR_MATMUL_FLOPS;
     obs_matmul(m * k * n, par);
-    if par {
-        // Round chunks to whole MR row-blocks so only the final chunk can
-        // hit the micro-kernel's row-tail path.
-        let rows_per = rows_per_chunk(PAR_MATMUL_CHUNK_FLOPS, k * n).next_multiple_of(MR);
-        bootleg_pool::parallel_chunks_mut(c, rows_per * n, |ci, cc| {
-            let r0 = ci * rows_per;
-            let rows = cc.len() / n;
-            matmul_acc_tiled(&a[r0 * k..(r0 + rows) * k], b, cc, rows, k, n);
-        });
-    } else {
-        matmul_acc_tiled(a, b, c, m, k, n);
-    }
+    gemm_rows(Lhs::rows(a, k), b, c, m, k, n, par);
 }
 
-/// Reference i-k-j scalar loop for `c += a·b`. Bit-identical to
-/// [`matmul_acc_tiled`]; kept for the equivalence property tests and the
-/// `kernel_gflops_naive` baseline benchmark.
-pub fn matmul_acc_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                *cv += av * bv;
-            }
-        }
-    }
+/// `c += aᵀ (k×m, stored m×k) · b (m×n)`; result is k×n.
+/// Used for weight gradients: dW = xᵀ dy. Runs the [`matmul_acc`] kernel
+/// on `aᵀ` read in place, so element `(p, j)` chains over `i` ascending.
+pub fn matmul_at_b_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), m * n);
+    debug_assert_eq!(c.len(), k * n);
+    let par = k >= 2 && m * k * n >= PAR_MATMUL_FLOPS;
+    obs_matmul(m * k * n, par);
+    gemm_rows(Lhs { data: a, row: 1, col: k }, b, c, k, m, n, par);
 }
 
-/// Register-blocked `c += a (m×k) · b (k×n)`.
-///
-/// Full [`MR`]×[`NR`] output tiles are accumulated in stack registers; the
-/// k-loop broadcasts one `a` element per row against an `NR`-wide `b` slice,
-/// so each `b` load is reused `MR` times and `c` is touched once per tile.
-/// A hoisted per-panel zero scan picks a branchless tile when the `MR`×k
-/// panel of `a` is zero-free and falls back to the per-row skipping naive
-/// loop when it isn't. Per-element arithmetic (k order, mul/add split,
-/// zero-skip) is exactly the naive loop's — see the module docs on the
-/// accumulation-order invariant.
-///
-/// On x86-64 hosts with AVX2 this dispatches to an explicit-intrinsics tile
-/// (detected once at runtime); it performs the same mul-then-add per output
-/// element in the same k order, only across 8 disjoint output columns per
-/// vector lane, so the result stays bit-identical to the portable tile and
-/// the naive reference.
-pub fn matmul_acc_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if n >= 8 && avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { matmul_acc_tiled_avx2(a, b, c, m, k, n) };
-        return;
-    }
-    matmul_acc_tiled_portable(a, b, c, m, k, n);
-}
-
-/// Portable (target-independent) register tile behind [`matmul_acc_tiled`].
-fn matmul_acc_tiled_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut i = 0;
-    while i + MR <= m {
-        if a[i * k..(i + MR) * k].contains(&0.0) {
-            // Zero-skips would fire inside the tile; the naive loop pays one
-            // branch per (row, p) amortized over the whole n-wide row instead
-            // of one per tile column block.
-            matmul_acc_naive(&a[i * k..(i + MR) * k], b, &mut c[i * n..(i + MR) * n], MR, k, n);
-            i += MR;
-            continue;
-        }
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let row = (i + r) * n + j;
-                accr.copy_from_slice(&c[row..row + NR]);
-            }
-            for p in 0..k {
-                let bp = <&[f32; NR]>::try_from(&b[p * n + j..p * n + j + NR]).unwrap();
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = a[(i + r) * k + p];
-                    for (cv, &bv) in accr.iter_mut().zip(bp.iter()) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let row = (i + r) * n + j;
-                c[row..row + NR].copy_from_slice(accr);
-            }
-            j += NR;
-        }
-        if j < n {
-            // Column tail: same register tile at reduced width.
-            let w = n - j;
-            let mut acc = [[0.0f32; NR]; MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let row = (i + r) * n + j;
-                accr[..w].copy_from_slice(&c[row..row + w]);
-            }
-            for p in 0..k {
-                let bp = &b[p * n + j..p * n + n];
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = a[(i + r) * k + p];
-                    for (cv, &bv) in accr[..w].iter_mut().zip(bp.iter()) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let row = (i + r) * n + j;
-                c[row..row + w].copy_from_slice(&accr[..w]);
-            }
-        }
-        i += MR;
-    }
-    if i < m {
-        // Row tail (< MR rows): the naive loop is already per-row.
-        matmul_acc_naive(&a[i * k..m * k], b, &mut c[i * n..m * n], m - i, k, n);
-    }
-}
-
-/// Cached runtime AVX2 detection for the kernel dispatchers.
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0); // 0 = unknown, 1 = no, 2 = yes
-    match STATE.load(Ordering::Relaxed) {
-        0 => {
-            let yes = std::is_x86_feature_detected!("avx2");
-            STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
-        s => s == 2,
-    }
-}
-
-/// AVX2 edition of the register tile: up to [`MR`] rows × 24 output columns
-/// accumulate in twelve 8-lane vectors, with three `b` vectors reused across
-/// the rows. Vector lanes are disjoint output columns, the k-loop stays
-/// outermost-per-element, and multiplies are never contracted into FMA, so
-/// every output element performs exactly the naive loop's mul-then-add
-/// sequence — bit-identical, just eight columns per instruction. Zero-laden
-/// `a` panels take the same naive fallback as the portable tile; unlike the
-/// portable tile, row tails (< [`MR`] rows) run vectorized at reduced height
-/// rather than falling back to the scalar loop, which matters for the skinny
-/// per-example matrices of one-example forward passes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_acc_tiled_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    use core::arch::x86_64::*;
-    let mut i = 0;
-    while i < m {
-        let mr = MR.min(m - i);
-        let panel = &a[i * k..(i + mr) * k];
-        if panel.contains(&0.0) {
-            matmul_acc_naive(panel, b, &mut c[i * n..(i + mr) * n], mr, k, n);
-            i += mr;
-            continue;
-        }
-        let mut j = 0;
-        while j + 24 <= n {
-            let mut acc = [[_mm256_setzero_ps(); 3]; MR];
-            for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                let row = c.as_ptr().add((i + r) * n + j);
-                accr[0] = _mm256_loadu_ps(row);
-                accr[1] = _mm256_loadu_ps(row.add(8));
-                accr[2] = _mm256_loadu_ps(row.add(16));
-            }
-            for p in 0..k {
-                let bp = b.as_ptr().add(p * n + j);
-                let b0 = _mm256_loadu_ps(bp);
-                let b1 = _mm256_loadu_ps(bp.add(8));
-                let b2 = _mm256_loadu_ps(bp.add(16));
-                for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                    let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                    accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(av, b0));
-                    accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(av, b1));
-                    accr[2] = _mm256_add_ps(accr[2], _mm256_mul_ps(av, b2));
-                }
-            }
-            for (r, accr) in acc.iter().take(mr).enumerate() {
-                let row = c.as_mut_ptr().add((i + r) * n + j);
-                _mm256_storeu_ps(row, accr[0]);
-                _mm256_storeu_ps(row.add(8), accr[1]);
-                _mm256_storeu_ps(row.add(16), accr[2]);
-            }
-            j += 24;
-        }
-        while j + 8 <= n {
-            let mut acc = [_mm256_setzero_ps(); MR];
-            for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                *accr = _mm256_loadu_ps(c.as_ptr().add((i + r) * n + j));
-            }
-            for p in 0..k {
-                let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                for (r, accr) in acc.iter_mut().take(mr).enumerate() {
-                    let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                    *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
-                }
-            }
-            for (r, accr) in acc.iter().take(mr).enumerate() {
-                _mm256_storeu_ps(c.as_mut_ptr().add((i + r) * n + j), *accr);
-            }
-            j += 8;
-        }
-        if j < n {
-            // Scalar column tail (< 8 columns); p stays outermost so every
-            // element accumulates in ascending-k order like the naive loop.
-            for p in 0..k {
-                for r in 0..mr {
-                    let av = a[(i + r) * k + p];
-                    let row = (i + r) * n;
-                    let brow = &b[p * n + j..(p + 1) * n];
-                    for (cv, &bv) in c[row + j..row + n].iter_mut().zip(brow.iter()) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-        }
-        i += mr;
-    }
+/// `c += a (m×k) · bᵀ (n×k, stored n×k)`; result is m×n.
+/// Used for input gradients: dx = dy Wᵀ. Packs `bᵀ` once, then runs the
+/// [`matmul_acc`] kernel.
+pub fn matmul_a_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(c.len(), m * n);
+    let par = m >= 2 && m * k * n >= PAR_MATMUL_FLOPS;
+    obs_matmul(m * k * n, par);
+    let bt = transposed(b, n, k);
+    gemm_rows(Lhs::rows(a, k), &bt, c, m, k, n, par);
+    crate::arena::release(bt);
 }
 
 /// `(B, M, K) × (B, K, N)` batched matmul into a pre-zeroed `c` (B, M, N),
@@ -371,293 +208,395 @@ pub fn batch_matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], bb: usize, m: usize
     let slab = m * n;
     let par = bb >= 2 && bb * m * k * n >= PAR_MATMUL_FLOPS;
     obs_matmul(bb * m * k * n, par);
+    let one = |t: usize, cc: &mut [f32]| {
+        let (at, bt) = (&a[t * m * k..(t + 1) * m * k], &b[t * k * n..(t + 1) * k * n]);
+        gemm_on(isa(), Lhs::rows(at, k), bt, cc, m, k, n);
+    };
     if par {
-        bootleg_pool::parallel_chunks_mut(c, slab, |t, cc| {
-            matmul_acc_tiled(
-                &a[t * m * k..(t + 1) * m * k],
-                &b[t * k * n..(t + 1) * k * n],
-                cc,
-                m,
-                k,
-                n,
-            );
-        });
+        bootleg_pool::parallel_chunks_mut(c, slab, one);
     } else {
         for t in 0..bb {
-            matmul_acc_tiled(
-                &a[t * m * k..(t + 1) * m * k],
-                &b[t * k * n..(t + 1) * k * n],
-                &mut c[t * slab..(t + 1) * slab],
-                m,
-                k,
-                n,
-            );
+            one(t, &mut c[t * slab..(t + 1) * slab]);
         }
     }
 }
 
-/// `c += aᵀ (k×m, stored m×k) * b (m×n)`; result is k×n.
-/// Used for weight gradients: dW = xᵀ dy.
-pub fn matmul_at_b_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(c.len(), k * n);
-    let par = k >= 2 && m * k * n >= PAR_MATMUL_FLOPS;
-    obs_matmul(m * k * n, par);
-    if par {
-        // Split the k output rows; each chunk walks i in the same ascending
-        // order as the serial loop, so per-element accumulation order (and
-        // thus every bit of the result) is unchanged.
-        let rows_per = rows_per_chunk(PAR_MATMUL_CHUNK_FLOPS, m * n).next_multiple_of(MR);
-        bootleg_pool::parallel_chunks_mut(c, rows_per * n, |ci, cc| {
-            matmul_at_b_panel(a, b, cc, m, k, n, ci * rows_per);
-        });
-    } else {
-        matmul_at_b_panel(a, b, c, m, k, n, 0);
-    }
-}
-
-/// Reference loop for `c += aᵀ·b`. Bit-identical to [`matmul_at_b_panel`].
-pub fn matmul_at_b_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// Fused-chain oracle for [`matmul_acc`]: one `mul_add` chain per output
+/// element, `p` ascending from the element's initial value.
+pub fn matmul_acc_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let brow = &b[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
+        for j in 0..n {
+            let mut acc = c[i * n + j];
+            for p in 0..k {
+                acc = a[i * k + p].mul_add(b[p * n + j], acc);
             }
-            let crow = &mut c[p * n..(p + 1) * n];
-            for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                *cv += av * bv;
-            }
+            c[i * n + j] = acc;
         }
     }
 }
 
-/// Packed-panel micro-kernel for `cpanel += (aᵀ·b)[p0.., ..]` where `cpanel`
-/// holds `cpanel.len() / n` consecutive output rows starting at row `p0`.
-///
-/// The operand `aᵀ` is column-strided in memory (element `(p, i)` lives at
-/// `a[i*k + p]`), so the panel first packs the `MR` active `a` columns into a
-/// contiguous arena-backed buffer (`packed[i*MR + r]`); the k-loop then
-/// streams unit-stride through both operands. Serves both the serial path
-/// (`p0 == 0`, whole output) and the pool's row-chunk closures, which is what
-/// keeps the chunked result bit-identical to the serial one: per element the
-/// i-ascending zero-skipping accumulation of [`matmul_at_b_naive`] is
-/// replayed exactly, only from registers instead of memory.
-pub fn matmul_at_b_panel(
-    a: &[f32],
-    b: &[f32],
-    cpanel: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    p0: usize,
-) {
-    debug_assert_eq!(cpanel.len() % n.max(1), 0);
-    let prows = cpanel.len() / n.max(1);
-    debug_assert!(p0 + prows <= k);
-    let mut packed = crate::arena::take(m * MR);
-    let mut r = 0;
-    while r < prows {
-        let mr = MR.min(prows - r);
-        for i in 0..m {
-            let base = i * k + p0 + r;
-            for q in 0..mr {
-                packed[i * mr + q] = a[base + q];
-            }
-        }
-        if packed[..m * mr].contains(&0.0) {
-            // Zero-skips would fire: run the skipping saxpy over the whole
-            // block instead (one branch per (i, q), amortized over n).
+/// Fused-chain oracle for [`matmul_at_b_acc`] (`i` ascending).
+pub fn matmul_at_b_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for p in 0..k {
+        for j in 0..n {
+            let mut acc = c[p * n + j];
             for i in 0..m {
-                let brow = &b[i * n..(i + 1) * n];
-                for q in 0..mr {
-                    let av = packed[i * mr + q];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let crow = &mut cpanel[(r + q) * n..(r + q + 1) * n];
-                    for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                        *cv += av * bv;
-                    }
-                }
+                acc = a[i * k + p].mul_add(b[i * n + j], acc);
             }
-            r += mr;
-            continue;
+            c[p * n + j] = acc;
         }
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [[0.0f32; NR]; MR];
-            for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                accq.copy_from_slice(&cpanel[row..row + NR]);
-            }
-            if mr == MR {
-                for i in 0..m {
-                    let ap = <&[f32; MR]>::try_from(&packed[i * MR..i * MR + MR]).unwrap();
-                    let bp = <&[f32; NR]>::try_from(&b[i * n + j..i * n + j + NR]).unwrap();
-                    for (q, accq) in acc.iter_mut().enumerate() {
-                        let av = ap[q];
-                        for (cv, &bv) in accq.iter_mut().zip(bp.iter()) {
-                            *cv += av * bv;
-                        }
-                    }
-                }
-            } else {
-                for i in 0..m {
-                    let bp = <&[f32; NR]>::try_from(&b[i * n + j..i * n + j + NR]).unwrap();
-                    for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                        let av = packed[i * mr + q];
-                        for (cv, &bv) in accq.iter_mut().zip(bp.iter()) {
-                            *cv += av * bv;
-                        }
-                    }
-                }
-            }
-            for (q, accq) in acc.iter().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                cpanel[row..row + NR].copy_from_slice(accq);
-            }
-            j += NR;
-        }
-        if j < n {
-            let w = n - j;
-            let mut acc = [[0.0f32; NR]; MR];
-            for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                accq[..w].copy_from_slice(&cpanel[row..row + w]);
-            }
-            for i in 0..m {
-                let bp = &b[i * n + j..i * n + n];
-                for (q, accq) in acc.iter_mut().enumerate().take(mr) {
-                    let av = packed[i * mr + q];
-                    for (cv, &bv) in accq[..w].iter_mut().zip(bp.iter()) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-            for (q, accq) in acc.iter().enumerate().take(mr) {
-                let row = (r + q) * n + j;
-                cpanel[row..row + w].copy_from_slice(&accq[..w]);
-            }
-        }
-        r += mr;
     }
-    crate::arena::release(packed);
 }
 
-/// `c += a (m×k) * bᵀ (n×k, stored n×k)`; result is m×n.
-/// Used for input gradients: dx = dy Wᵀ.
-pub fn matmul_a_bt_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    let par = m >= 2 && m * k * n >= PAR_MATMUL_FLOPS;
-    obs_matmul(m * k * n, par);
+/// Fused-chain oracle for [`matmul_a_bt_acc`] (`p` ascending).
+pub fn matmul_a_bt_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = c[i * n + j];
+            for p in 0..k {
+                acc = a[i * k + p].mul_add(b[j * k + p], acc);
+            }
+            c[i * n + j] = acc;
+        }
+    }
+}
+
+/// `x` (`rows × cols`) transposed into an arena buffer (`cols × rows`),
+/// walked in 8-row strips so each write is a short contiguous run.
+fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = crate::arena::take(rows * cols);
+    for r0 in (0..rows).step_by(8) {
+        let r1 = (r0 + 8).min(rows);
+        for c in 0..cols {
+            for r in r0..r1 {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+    }
+    t
+}
+
+/// The kernel's `a` operand: element `(i, p)` is `data[i * row + p * col]`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    row: usize,
+    col: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// A row-major matrix with `k` columns.
+    fn rows(data: &'a [f32], k: usize) -> Self {
+        Self { data, row: k, col: 1 }
+    }
+}
+
+/// The serial kernel over `m` output rows, split into [`MR`]-aligned row
+/// chunks on the pool when `par`.
+fn gemm_rows(a: Lhs, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, par: bool) {
     if par {
         let rows_per = rows_per_chunk(PAR_MATMUL_CHUNK_FLOPS, k * n).next_multiple_of(MR);
         bootleg_pool::parallel_chunks_mut(c, rows_per * n, |ci, cc| {
-            let r0 = ci * rows_per;
-            let rows = cc.len() / n;
-            matmul_a_bt_tiled(&a[r0 * k..(r0 + rows) * k], b, cc, rows, k, n);
+            let a = Lhs { data: &a.data[ci * rows_per * a.row..], ..a };
+            gemm_on(isa(), a, b, cc, cc.len() / n, k, n);
         });
     } else {
-        matmul_a_bt_tiled(a, b, c, m, k, n);
+        gemm_on(isa(), a, b, c, m, k, n);
     }
 }
 
-/// Reference loop for `c += a·bᵀ`. Bit-identical to [`matmul_a_bt_tiled`].
-pub fn matmul_a_bt_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut s = 0.0;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                s += av * bv;
-            }
-            *cv += s;
+/// The serial kernel on `isa`, which must be one the host supports.
+fn gemm_on(isa: Isa, a: Lhs, b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let a_end = (m - 1) * a.row + (k - 1) * a.col;
+    assert!(a_end < a.data.len() && b.len() >= k * n && c.len() >= m * n);
+    let (ap, strides, bp, cp) = (a.data.as_ptr(), (a.row, a.col), b.as_ptr(), c.as_mut_ptr());
+    // SAFETY: the operand extents were checked above, and `isa()` only
+    // reports instruction sets the CPU was detected to support.
+    unsafe {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => avx512::gemm(ap, strides, bp, cp, m, k, n),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => avx2::gemm(ap, strides, bp, cp, m, k, n),
+            _ => portable::gemm(ap, strides, bp, cp, m, k, n),
         }
     }
 }
 
-/// Number of `b` rows (output columns) per `A·Bᵀ` register tile.
-pub const BT_NR: usize = 8;
+/// The micro-kernel, instantiated inside an ISA module that defines
+/// `LANES`, the register type `Reg`, the tail-mask type `Mask` and the
+/// primitives `zero`/`splat`/`load`/`store`/`load_tail`/`store_tail`/
+/// `mask`/`fma`. `vectors` lists the tile widths in registers, 1 up to the
+/// widest; the trailing attributes carry the module's target features.
+macro_rules! fma_gemm {
+    (vectors = [$($v:literal),+] $(, #[$feat:meta])*) => {
+        const NV: usize = [$($v),+].len();
 
-/// Register-blocked `c += a (m×k) · bᵀ (b stored n×k)`.
-///
-/// The naive loop is one sequential dot-product chain per output element —
-/// k-ascending adds with a loop-carried dependency that cannot vectorize
-/// without reassociating. The tile keeps [`MR`]×[`BT_NR`] independent
-/// accumulator chains in registers instead, and first packs the [`BT_NR`]
-/// active `b` rows column-interleaved into an arena-backed panel
-/// (`packed[p*BT_NR + q] = b[(j+q)*k + p]`, cost `1/(2m)` of the block's
-/// flops) so the k-loop loads one contiguous `BT_NR`-wide slice per step
-/// rather than `BT_NR` strided scalars. Each chain is still a strictly
-/// sequential k-ascending sum — identical to the naive local accumulator —
-/// and is added to `c` once at the end, exactly like the naive `*cv += s`.
-/// (The naive loop has no zero-skip here, so neither does the tile.)
-pub fn matmul_a_bt_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut packed = crate::arena::take(k * BT_NR);
-    let mut j = 0;
-    while j + BT_NR <= n {
-        for p in 0..k {
-            for q in 0..BT_NR {
-                packed[p * BT_NR + q] = b[(j + q) * k + p];
+        /// `c += a·b` over raw operands, all of them non-empty: `a` is
+        /// m×k with element `(i, p)` at `a[i·rs + p·cs]`, `b` (k×n) and
+        /// `c` (m×n) are row-major. Column blocks of up to
+        /// `NV · LANES` run outermost so the block's `b` panel stays in
+        /// cache across every row tile.
+        ///
+        /// # Safety
+        /// `a`, `b` and `c` must be valid for those extents, `c` must not
+        /// overlap the inputs, and the CPU must support the module's
+        /// target features.
+        $(#[$feat])*
+        pub(super) unsafe fn gemm(
+            a: *const f32,
+            (rs, cs): (usize, usize),
+            b: *const f32,
+            c: *mut f32,
+            m: usize,
+            k: usize,
+            n: usize,
+        ) {
+            let mut j = 0;
+            while j < n {
+                let cols = (NV * LANES).min(n - j);
+                let nv = cols.div_ceil(LANES);
+                let tail = mask(cols - (nv - 1) * LANES);
+                let mut i = 0;
+                while i < m {
+                    let mr = super::MR.min(m - i);
+                    let (a, b, c) = (a.add(i * rs), b.add(j), c.add(i * n + j));
+                    match (mr, nv) {
+                        $(
+                            (1, $v) => tile::<1, $v>(a, (rs, cs), b, c, k, n, tail),
+                            (2, $v) => tile::<2, $v>(a, (rs, cs), b, c, k, n, tail),
+                            (3, $v) => tile::<3, $v>(a, (rs, cs), b, c, k, n, tail),
+                            (4, $v) => tile::<4, $v>(a, (rs, cs), b, c, k, n, tail),
+                        )+
+                        _ => unreachable!("tile {mr}x{nv} outside {}x{NV}", super::MR),
+                    }
+                    i += mr;
+                }
+                j += cols;
             }
         }
-        let mut i = 0;
-        while i + MR <= m {
-            let mut acc = [[0.0f32; BT_NR]; MR];
+
+        /// One `R`-row × `V`-register tile at `c`; the last register
+        /// covers only the lanes set in `tail`.
+        ///
+        /// # Safety
+        /// As for `gemm`, for the `R` rows and the `V` registers of
+        /// columns (the last one masked by `tail`) this tile covers.
+        $(#[$feat])*
+        unsafe fn tile<const R: usize, const V: usize>(
+            a: *const f32,
+            (rs, cs): (usize, usize),
+            b: *const f32,
+            c: *mut f32,
+            k: usize,
+            n: usize,
+            tail: Mask,
+        ) {
+            let mut acc = [[zero(); V]; R];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                for (v, x) in accr.iter_mut().enumerate() {
+                    let p = c.add(r * n + v * LANES);
+                    *x = if v + 1 < V { load(p) } else { load_tail(p, tail) };
+                }
+            }
             for p in 0..k {
-                let bp = <&[f32; BT_NR]>::try_from(&packed[p * BT_NR..p * BT_NR + BT_NR])
-                    .unwrap();
+                let brow = b.add(p * n);
+                let mut bv = [zero(); V];
+                for (v, x) in bv.iter_mut().enumerate() {
+                    let q = brow.add(v * LANES);
+                    *x = if v + 1 < V { load(q) } else { load_tail(q, tail) };
+                }
                 for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = a[(i + r) * k + p];
-                    for (cv, &bv) in accr.iter_mut().zip(bp.iter()) {
-                        *cv += av * bv;
+                    let av = splat(*a.add(r * rs + p * cs));
+                    for (x, &bx) in accr.iter_mut().zip(&bv) {
+                        *x = fma(av, bx, *x);
                     }
                 }
             }
             for (r, accr) in acc.iter().enumerate() {
-                let row = (i + r) * n + j;
-                for (cv, &s) in c[row..row + BT_NR].iter_mut().zip(accr.iter()) {
-                    *cv += s;
+                for (v, &x) in accr.iter().enumerate() {
+                    let p = c.add(r * n + v * LANES);
+                    if v + 1 < V {
+                        store(p, x)
+                    } else {
+                        store_tail(p, tail, x)
+                    }
                 }
             }
-            i += MR;
         }
-        // Row tail (< MR rows): per-row dots against the packed panel.
-        while i < m {
-            let arow = &a[i * k..(i + 1) * k];
-            for q in 0..BT_NR {
-                let mut s = 0.0;
-                for (p, &av) in arow.iter().enumerate() {
-                    s += av * packed[p * BT_NR + q];
-                }
-                c[i * n + j + q] += s;
-            }
-            i += 1;
-        }
-        j += BT_NR;
+    };
+}
+
+/// AVX-512F: 4 × 64-column tiles in 16 of the 32 `zmm` registers.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::*;
+
+    const LANES: usize = 16;
+    type Reg = __m512;
+    type Mask = __mmask16;
+
+    #[inline]
+    fn mask(w: usize) -> Mask {
+        (u32::MAX >> (32 - w)) as Mask
     }
-    crate::arena::release(packed);
-    // Column tail (< BT_NR b rows): naive dots straight from `b`.
-    if j < n {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for jj in j..n {
-                let brow = &b[jj * k..(jj + 1) * k];
-                let mut s = 0.0;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    s += av * bv;
-                }
-                c[i * n + jj] += s;
-            }
-        }
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn zero() -> Reg {
+        _mm512_setzero_ps()
     }
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(x: f32) -> Reg {
+        _mm512_set1_ps(x)
+    }
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn fma(a: Reg, b: Reg, c: Reg) -> Reg {
+        _mm512_fmadd_ps(a, b, c)
+    }
+    /// # Safety
+    /// `p` must be valid for reading `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load(p: *const f32) -> Reg {
+        _mm512_loadu_ps(p)
+    }
+    /// # Safety
+    /// `p` must be valid for writing `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store(p: *mut f32, x: Reg) {
+        _mm512_storeu_ps(p, x)
+    }
+    /// # Safety
+    /// `p` must be valid for reading the lanes set in `m`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load_tail(p: *const f32, m: Mask) -> Reg {
+        _mm512_maskz_loadu_ps(m, p)
+    }
+    /// # Safety
+    /// `p` must be valid for writing the lanes set in `m`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_tail(p: *mut f32, m: Mask, x: Reg) {
+        _mm512_mask_storeu_ps(p, m, x)
+    }
+
+    fma_gemm!(vectors = [1, 2, 3, 4], #[target_feature(enable = "avx512f")]);
+}
+
+/// AVX2 + FMA: 4 × 16-column tiles in 8 of the 16 `ymm` registers. A
+/// 4 × 24 tile would need all 16 for accumulators, `b` and the broadcast,
+/// and spills: it measured half the throughput.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::*;
+
+    const LANES: usize = 8;
+    type Reg = __m256;
+    type Mask = __m256i;
+
+    /// All-ones in lanes `0..w`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mask(w: usize) -> Mask {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn zero() -> Reg {
+        _mm256_setzero_ps()
+    }
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn splat(x: f32) -> Reg {
+        _mm256_set1_ps(x)
+    }
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn fma(a: Reg, b: Reg, c: Reg) -> Reg {
+        _mm256_fmadd_ps(a, b, c)
+    }
+    /// # Safety
+    /// `p` must be valid for reading `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load(p: *const f32) -> Reg {
+        _mm256_loadu_ps(p)
+    }
+    /// # Safety
+    /// `p` must be valid for writing `LANES` floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store(p: *mut f32, x: Reg) {
+        _mm256_storeu_ps(p, x)
+    }
+    /// # Safety
+    /// `p` must be valid for reading the lanes set in `m`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_tail(p: *const f32, m: Mask) -> Reg {
+        _mm256_maskload_ps(p, m)
+    }
+    /// # Safety
+    /// `p` must be valid for writing the lanes set in `m`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_tail(p: *mut f32, m: Mask, x: Reg) {
+        _mm256_maskstore_ps(p, m, x)
+    }
+
+    fma_gemm!(vectors = [1, 2], #[target_feature(enable = "avx2,fma")]);
+}
+
+/// Portable fallback: 8-wide `[f32; 8]` "registers" whose lanes are
+/// `f32::mul_add` calls.
+mod portable {
+    const LANES: usize = 8;
+    type Reg = [f32; LANES];
+    type Mask = usize;
+
+    fn mask(w: usize) -> Mask {
+        w
+    }
+    fn zero() -> Reg {
+        [0.0; LANES]
+    }
+    fn splat(x: f32) -> Reg {
+        [x; LANES]
+    }
+    fn fma(a: Reg, b: Reg, c: Reg) -> Reg {
+        std::array::from_fn(|l| a[l].mul_add(b[l], c[l]))
+    }
+    /// # Safety
+    /// `p` must be valid for reading `LANES` floats.
+    unsafe fn load(p: *const f32) -> Reg {
+        p.cast::<Reg>().read_unaligned()
+    }
+    /// # Safety
+    /// `p` must be valid for writing `LANES` floats.
+    unsafe fn store(p: *mut f32, x: Reg) {
+        p.cast::<Reg>().write_unaligned(x)
+    }
+    /// # Safety
+    /// `p` must be valid for reading `w` floats.
+    unsafe fn load_tail(p: *const f32, w: Mask) -> Reg {
+        let mut x = zero();
+        std::ptr::copy_nonoverlapping(p, x.as_mut_ptr(), w);
+        x
+    }
+    /// # Safety
+    /// `p` must be valid for writing `w` floats.
+    unsafe fn store_tail(p: *mut f32, w: Mask, x: Reg) {
+        std::ptr::copy_nonoverlapping(x.as_ptr(), p, w)
+    }
+
+    fma_gemm!(vectors = [1, 2]);
 }
 
 /// Gathers `rows` of a row-major `(·, cols)` table into `out`
@@ -732,8 +671,8 @@ fn softmax_rows_serial(x: &[f32], out: &mut [f32], rows: usize, cols: usize) {
 /// them into `2^-126`-scale noise.
 fn exp_shifted(x: &[f32], out: &mut [f32], mx: f32) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
+    if isa() >= Isa::Avx2 {
+        // SAFETY: `isa()` detected AVX2 at runtime.
         unsafe { exp_shifted_avx2(x, out, mx) };
         return;
     }
@@ -912,8 +851,8 @@ pub fn gelu(x: f32) -> f32 {
 pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
+    if isa() >= Isa::Avx2 {
+        // SAFETY: `isa()` detected AVX2 at runtime.
         unsafe { gelu_slice_avx2(x, out) };
         return;
     }
@@ -1038,8 +977,8 @@ unsafe fn gelu_slice_avx2(x: &[f32], out: &mut [f32]) {
 pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was verified at runtime.
+    if isa() >= Isa::Avx2 {
+        // SAFETY: `isa()` detected AVX2 at runtime.
         unsafe { tanh_slice_avx2(x, out) };
         return;
     }
@@ -1251,8 +1190,7 @@ mod tests {
     }
 
     fn pseudo(n: usize, salt: u64) -> Vec<f32> {
-        // Deterministic, non-trivial values with some exact zeros (to
-        // exercise the skip-zero fast path).
+        // Deterministic, non-trivial values with some exact zeros.
         (0..n)
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(salt);
@@ -1263,6 +1201,44 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Every ISA path this host supports must reproduce the fused oracle's
+    /// bits on the same operands, across row tails (m mod 4), every column
+    /// tail width of both vector sizes, k = 0, and `-0.0`/zero entries —
+    /// with `a` read row-major and, as `matmul_at_b_acc` reads it, through
+    /// a stored transpose.
+    #[test]
+    fn every_isa_path_matches_the_fused_oracle_bitwise() {
+        let isas: Vec<Isa> =
+            [Isa::Portable, Isa::Avx2, Isa::Avx512].into_iter().filter(|&i| i <= isa()).collect();
+        let shapes = [(1, 1, 1), (3, 5, 7), (4, 8, 16), (5, 17, 33), (2, 3, 100), (7, 40, 128)];
+        let tails = (1..=65).map(|n| (6, 9, n));
+        for (s, (m, k, n)) in shapes.into_iter().chain(tails).chain([(4, 0, 9)]).enumerate() {
+            let a = pseudo(m * k, 31 + s as u64);
+            let b = pseudo(k * n, 32 + s as u64);
+            let mut c0 = pseudo(m * n, 33);
+            c0.iter_mut().step_by(5).for_each(|x| *x = -0.0);
+            let mut want = c0.clone();
+            matmul_acc_naive(&a, &b, &mut want, m, k, n);
+            let mut a_t = vec![0.0; k * m];
+            for (i, row) in a.chunks_exact(k.max(1)).enumerate() {
+                for (p, &x) in row.iter().enumerate() {
+                    a_t[p * m + i] = x;
+                }
+            }
+            let lhs = [Lhs::rows(&a, k), Lhs { data: &a_t, row: 1, col: m }];
+            for &path in &isas {
+                for (l, lhs) in lhs.iter().enumerate() {
+                    let mut got = c0.clone();
+                    gemm_on(path, *lhs, &b, &mut got, m, k, n);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let at = format!("{path:?} lhs {l} {m}x{k}x{n} element {i}");
+                        assert_eq!(g.to_bits(), w.to_bits(), "{at}: {g} vs {w}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
